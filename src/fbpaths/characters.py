@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .model import Model, TakahashiData, continued_fraction
-from .qpoly import QPoly, gaussian, gaussian_modified
-from .paths import chi  # noqa: F401  (re-exported convenience for sweep drivers)
+from .qpoly import QPoly, gaussian, kronecker_product
 
 
 # -- alternating-sign (bosonic) form ------------------------------------------
@@ -282,46 +281,55 @@ class MnSolution:
     n: tuple[int, ...]       # (n_1, ..., n_t)
 
 
-def _c_hat_m(system: FermionicSystem, m_hat: tuple[int, ...], j: int) -> int:
-    """(C_hat m_hat)_j for 1 <= j <= t, with m_t = 0."""
-    row = system.C_hat[j - 1]
-    s = sum(row[i] * m_hat[i] for i in range(len(m_hat)) if row[i])
-    return s
+def _iter_admissible_m(system: FermionicSystem, L: int, annihilate: bool = False):
+    """Yield (m_hat, n) with m_hat = (L, m_1, ..., m_{t-1}) and
+    n = (u - C_hat m_hat)/2 for every summand the constant-sign sums keep.
 
-
-def _n_vector(system: FermionicSystem, m_hat: tuple[int, ...]) -> tuple[int, ...]:
-    """n = (u - C_hat m_hat)/2; raises if the parities are inconsistent."""
-    t = system.t
-    u = tuple(x + y for x, y in zip(system.u_L, system.u_R))
-    n = []
-    for j in range(1, t + 1):
-        v = u[j - 1] - _c_hat_m(system, m_hat, j)
-        if v % 2:
-            raise ValueError("non-integral particle count: parity mismatch")
-        n.append(v // 2)
-    return tuple(n)
-
-
-def _iter_admissible_m(system: FermionicSystem, L: int):
-    """All m_hat = (L, m_1, ..., m_{t-1}) with the right parities and the
-    support bound m_{i+1} <= m_i + 1 (terms beyond it sum to zero)."""
+    m_hat runs over the right parities and the support bound
+    m_{i+1} <= m_i + 1 (terms beyond it sum to zero), in depth-first order.
+    Row j of C_hat touches only m_{j-1}, m_j, m_{j+1}, so n_j is fixed as
+    soon as m_{j+1} is chosen (m_t = 0 closes the last rows), and the walk
+    cuts the subtree there when n_j < 0 -- unless ``annihilate`` is set and
+    m_j = 0, where the modified form keeps [n_j over 0]' = 1.  Raises
+    ValueError if a particle count is not an integer (parity mismatch).
+    """
     t = system.t
     Q = system.Q
     if L % 2 != Q[0]:
         return
-    def rec(prefix: tuple[int, ...]):
-        i = len(prefix) - 1
+    u = [x + y for x, y in zip(system.u_L, system.u_R)]
+    # (C_hat m_hat)_j = lo*m_{j-1} + mid*m_j + hi*m_{j+1}
+    band = [(row[j - 1], row[j] if j < t else 0, row[j + 1] if j + 1 < t else 0)
+            for j, row in enumerate(system.C_hat, 1)]
+    m = [L] + [0] * (t + 1)  # the walk sets m_1..m_{t-1}; m_t, m_{t+1} stay 0
+    n = [0] * t
+
+    def close(j: int) -> bool:
+        lo, mid, hi = band[j - 1]
+        v = u[j - 1] - lo * m[j - 1] - mid * m[j] - hi * m[j + 1]
+        if v % 2:
+            raise ValueError("non-integral particle count: parity mismatch")
+        n[j - 1] = v // 2
+        return v >= 0 or (annihilate and m[j] == 0)
+
+    def rec(i: int):
+        # m_0..m_i are chosen, and rows 1..i-1 are closed
         if i == t - 1:
-            yield prefix
+            if (i == 0 or close(i)) and close(t):
+                yield tuple(m[:t]), tuple(n)
             return
-        top = prefix[-1] + 1
-        for nxt in range(Q[i + 1], top + 1, 2):
-            yield from rec(prefix + (nxt,))
-    yield from rec((L,))
+        for nxt in range(Q[i + 1], m[i] + 2, 2):
+            m[i + 1] = nxt
+            if i == 0 or close(i):
+                yield from rec(i + 1)
+
+    yield from rec(0)
 
 
-def _exponent_quarter(system: FermionicSystem, m_hat: tuple[int, ...]) -> int:
-    """m_hat^T C m_hat - L^2 - 2 (u_L^flat + u_R^sharp).m + gamma, in quarter units."""
+def _exponent_quarter(system: FermionicSystem, m_hat: tuple[int, ...],
+                      w: list[int]) -> int:
+    """m_hat^T C m_hat - L^2 - 2 w.m + gamma, in quarter units, where
+    w = u_L^flat + u_R^sharp."""
     t = system.t
     C = system.C
     quad = 0
@@ -330,36 +338,28 @@ def _exponent_quarter(system: FermionicSystem, m_hat: tuple[int, ...]) -> int:
         if mi:
             row = C[i]
             quad += mi * sum(row[j] * m_hat[j] for j in range(t) if row[j])
-    tak = system.tak
-    w = [fl + sh for fl, sh in zip(flat_sharp(system.u_L, tak, "flat"),
-                                   flat_sharp(system.u_R, tak, "sharp"))]
     lin = sum(w[j - 1] * m_hat[j] for j in range(1, t))
     return quad - m_hat[0] ** 2 - 2 * lin + system.gamma
 
 
 def fermionic_terms(system: FermionicSystem, L: int, modified: bool):
-    """Nonzero summands: a list of (m_hat, n, term polynomial)."""
-    t = system.t
+    """Nonzero summands: a list of (m_hat, n, term polynomial).
+
+    The walk keeps only summands whose factors [m_j + n_j over m_j] are
+    classical Gaussians (m_j > 0, n_j >= 0) or equal to 1 (m_j = 0), so the
+    same dense product serves both forms.
+    """
+    tak = system.tak
+    w = [fl + sh for fl, sh in zip(flat_sharp(system.u_L, tak, "flat"),
+                                   flat_sharp(system.u_R, tak, "sharp"))]
     out = []
-    for m_hat in _iter_admissible_m(system, L):
-        n = _n_vector(system, m_hat)
-        if modified:
-            if any(n[j - 1] < 0 and m_hat[j] > 0 for j in range(1, t)):
-                continue
-        else:
-            if any(n[j - 1] < 0 for j in range(1, t)):
-                continue
-        if n[t - 1] < 0:
-            continue  # cannot happen for m >= 0; kept as a guard
-        gauss = gaussian_modified if modified else gaussian
-        prod = QPoly.one()
-        for j in range(1, t):
-            prod = prod * gauss(m_hat[j] + n[j - 1], m_hat[j])
-            if not prod:
-                break
-        if not prod:
-            continue
-        term = prod.shift(_exponent_quarter(system, m_hat))
+    for m_hat, n in _iter_admissible_m(system, L, annihilate=modified):
+        factors = [gaussian(m + nj, m).terms.values()
+                   for m, nj in zip(m_hat[1:], n) if m]
+        low = _exponent_quarter(system, m_hat, w)
+        coeffs = kronecker_product(factors)
+        term = QPoly.__new__(QPoly)
+        term.terms = dict(zip(range(low, low + 4 * len(coeffs), 4), coeffs))
         out.append((m_hat, n, term))
     return out
 
@@ -368,12 +368,7 @@ def mn_solutions(system: FermionicSystem, L: int) -> list[MnSolution]:
     """All (m_hat, n) with every n_i a non-negative integer and m >= 0."""
     if L < 0:
         return []
-    sols = []
-    for m_hat in _iter_admissible_m(system, L):
-        n = _n_vector(system, m_hat)
-        if all(v >= 0 for v in n):
-            sols.append(MnSolution(m_hat, n))
-    return sols
+    return [MnSolution(m_hat, n) for m_hat, n in _iter_admissible_m(system, L)]
 
 
 def _sub_character(zn: int, yn: int, a: int, b: int, c_outer: int, L: int) -> QPoly:

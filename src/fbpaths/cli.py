@@ -13,7 +13,6 @@ import json
 import sys
 import time
 from math import gcd
-from multiprocessing import Pool
 
 from .model import Model, continued_fraction, format_model_tables
 from .paths import (
@@ -121,6 +120,7 @@ def run_verify_identity(ppmax: int, lmax: int, jobs: int, forms, out) -> int:
     t0 = time.time()
     tasks = list(iter_identity_tasks(ppmax, lmax, forms))
     if jobs > 1:
+        from multiprocessing import Pool  # only the parallel sweep pays for it
         with Pool(jobs) as pool:
             records = pool.map(_identity_record, tasks, chunksize=16)
     else:

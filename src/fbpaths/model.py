@@ -186,7 +186,8 @@ def continued_fraction(p: int, pp: int) -> TakahashiData:
         kappa=tuple(kappa), kappa_tilde=tuple(kappa_t), ell=tuple(ell),
         T=T, T_prime=T_prime,
     )
-    assert data.y_of(n + 1) == pp and data.z_of(n + 1) == p
+    if data.y_of(n + 1) != pp or data.z_of(n + 1) != p:
+        raise RuntimeError(f"convergents of {cf} do not reproduce ({p}, {pp})")
     return data
 
 

@@ -453,6 +453,8 @@ def path_from_json(d: dict) -> Path:
         bd = d["boundary"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed path JSON: missing {exc}") from exc
+    if not isinstance(bd, dict):
+        raise ValueError("boundary must be an object carrying c, or e and f")
     if "c" in bd:
         boundary: PostSeg | Wings = PostSeg(int(bd["c"]))
     elif "e" in bd and "f" in bd:

@@ -10,7 +10,9 @@ that is asserted whenever a polynomial leaves the library (JSON).
 
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
+from itertools import accumulate
 
 
 class QPoly:
@@ -267,21 +269,41 @@ def pochhammer(z_power: int, n: int) -> QPoly:
     return out
 
 
-@lru_cache(maxsize=None)
-def _poch_q(n: int) -> QPoly:
-    """(q)_n, cached."""
-    return pochhammer(1, n)
+def _gaussian_coeffs(a: int, k: int) -> list[int]:
+    """Coefficients of [a over k] for 0 <= k <= a, ascending from q^0.
+
+    Builds prod_{i=1..k} (1 - q^{a-k+i}) / (1 - q^i) on one int list.  After
+    factor i the list holds [a-k+i over i], so every division is exact: one
+    multiply by (1 - q^m) followed by one stride-i running sum.
+    """
+    k = min(k, a - k)
+    c = [1] + [0] * (k * (a - k) + k)
+    deg = 0
+    for i in range(1, k + 1):
+        m = a - k + i
+        top = deg + m
+        # times (1 - q^m): c[d] -= c[d-m], reading the old values
+        c[m:top + 1] = [x - y for x, y in zip(c[m:top + 1], c[:deg + 1])]
+        # divided by (1 - q^i): running sum along each residue class mod i
+        for r in range(i):
+            c[r:top + 1:i] = accumulate(c[r:top + 1:i])
+        deg = top - i
+    del c[deg + 1:]
+    return c
 
 
 @lru_cache(maxsize=None)
 def gaussian(a: int, b: int) -> QPoly:
     """Classical Gaussian polynomial [a over b]: (q)_a / ((q)_{a-b} (q)_b).
 
-    Zero unless 0 <= b <= a; always a polynomial with integer exponents.
+    Zero unless 0 <= b <= a; always a polynomial with integer exponents and
+    positive coefficients from q^0 to q^{b(a-b)}, stored in ascending order.
     """
     if not 0 <= b <= a:
         return QPoly.zero()
-    return div_exact(_poch_q(a), _poch_q(a - b) * _poch_q(b))
+    res = QPoly.__new__(QPoly)
+    res.terms = dict(zip(range(0, 4 * b * (a - b) + 1, 4), _gaussian_coeffs(a, b)))
+    return res
 
 
 @lru_cache(maxsize=None)
@@ -289,12 +311,41 @@ def gaussian_modified(a: int, b: int) -> QPoly:
     """Modified Gaussian polynomial [a over b]': (q^{a-b+1})_b / (q)_b for b >= 0.
 
     Agrees with gaussian(a, b) except when a < 0 <= b, where the literal
-    product can survive: [-1 over 0]' = 1, and for a <= -2 the value is a
-    genuine Laurent polynomial.
+    product can survive: by the inversion law it is
+    (-1)^b q^{b(2a-b+1)/2} [b-a-1 over b], so [-1 over 0]' = 1, and for
+    a <= -2 the value is a genuine Laurent polynomial.
     """
-    if b < 0:
-        return QPoly.zero()
-    return div_exact(pochhammer(a - b + 1, b), _poch_q(b))
+    if a >= 0 or b < 0:
+        return gaussian(a, b)
+    res = QPoly.__new__(QPoly)
+    sign = -1 if b % 2 else 1
+    low = 4 * (b * (2 * a - b + 1) // 2)
+    res.terms = {low + 4 * e: sign * c
+                 for e, c in enumerate(_gaussian_coeffs(b - a - 1, b))}
+    return res
+
+
+def kronecker_product(factors) -> list[int]:
+    """Product of dense polynomials with non-negative integer coefficients.
+
+    Each factor is a sized iterable of coefficients, ascending from q^0 with
+    no gaps (the term values of a ``gaussian`` result qualify).  Each factor
+    is packed into one big int at a byte width that holds the product of the
+    factors' values at q = 1, which bounds every coefficient in sight; the
+    ints are multiplied and the result is unpacked: no coefficient can carry
+    into its neighbour.
+    """
+    bound = 1
+    for coeffs in factors:
+        bound *= max(1, sum(coeffs))
+    width = (bound.bit_length() + 7) // 8
+    order = sys.byteorder
+    acc = 1
+    for coeffs in factors:
+        acc *= int.from_bytes(b"".join(c.to_bytes(width, order) for c in coeffs), order)
+    deg = sum(len(coeffs) - 1 for coeffs in factors)
+    raw = acc.to_bytes(width * (deg + 1), order)
+    return [int.from_bytes(raw[i:i + width], order) for i in range(0, len(raw), width)]
 
 
 def box_partition_oracle(k: int, m: int) -> QPoly:

@@ -27,3 +27,68 @@ def winged_paths(p, pp, lmax, require_delta_a=False, require_delta_b=False):
             for L in range((a + b) % 2, lmax + 1, 2):
                 for hs in iter_height_seqs(model, a, b, L):
                     yield Path(model, hs, Wings(e, f))
+
+
+def unpruned_walk(system, L):
+    """Every m_hat = (L, m_1, ..., m_{t-1}) with the parities Q and the
+    support bound m_{i+1} <= m_i + 1, in depth-first order (no pruning)."""
+    t, Q = system.t, system.Q
+    if L % 2 != Q[0]:
+        return
+
+    def rec(prefix):
+        if len(prefix) == t:
+            yield prefix
+            return
+        for nxt in range(Q[len(prefix)], prefix[-1] + 2, 2):
+            yield from rec(prefix + (nxt,))
+
+    yield from rec((L,))
+
+
+def unpruned_walk_size(system, L):
+    """How many m_hat unpruned_walk yields, counted without walking."""
+    t, Q = system.t, system.Q
+    if L % 2 != Q[0]:
+        return 0
+    ways = {L: 1}
+    for i in range(1, t):
+        nxt = {}
+        for m, w in ways.items():
+            for x in range(Q[i], m + 2, 2):
+                nxt[x] = nxt.get(x, 0) + w
+        ways = nxt
+    return sum(ways.values())
+
+
+def leaf_filtered_walk(system, L, modified):
+    """Oracle for the pruned m-vector walk: (m_hat, n) for every leaf of the
+    unpruned walk that the constant-sign sums keep, n = (u - C_hat m_hat)/2
+    computed from whole rows.  The classical rule (also the mn-system's)
+    keeps n >= 0; the modified rule also keeps n_j < 0 when m_j = 0."""
+    t = system.t
+    u = [x + y for x, y in zip(system.u_L, system.u_R)]
+    for m_hat in unpruned_walk(system, L):
+        n = []
+        for j in range(1, t + 1):
+            v = u[j - 1] - sum(c * m for c, m in zip(system.C_hat[j - 1], m_hat))
+            assert v % 2 == 0, "parity mismatch"
+            n.append(v // 2)
+        if n[t - 1] < 0:
+            continue
+        if any(n[j - 1] < 0 and not (modified and m_hat[j] == 0) for j in range(1, t)):
+            continue
+        yield m_hat, tuple(n)
+
+
+def step_count(pp, a, b, L):
+    """Unit-step paths a -> b of length L inside 1..p'-1 (the value at q = 1)."""
+    ways = {a: 1}
+    for _ in range(L):
+        nxt = {}
+        for h, w in ways.items():
+            for nh in (h - 1, h + 1):
+                if 1 <= nh <= pp - 1:
+                    nxt[nh] = nxt.get(nh, 0) + w
+        ways = nxt
+    return ways.get(b, 0)

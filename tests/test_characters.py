@@ -3,14 +3,18 @@
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from fbpaths import (
     Model, QPoly, bosonic, build_system, c_from_b, c_from_b_info, chi,
     continued_fraction, fermionic_classical, fermionic_modified,
     fermionic_terms, flat_sharp, groundstate_label, mn_solutions,
-    partition_series, rocha_caridi_truncated,
+    gaussian, gaussian_modified, partition_series, rocha_caridi_truncated,
 )
-from helpers import coprime_pairs
+from fbpaths.characters import _iter_admissible_m
+from helpers import (
+    coprime_pairs, leaf_filtered_walk, step_count, unpruned_walk_size,
+)
 
 
 def takahashi_members(p, pp):
@@ -277,3 +281,46 @@ def test_stabilization_to_series():
             assert chi(m, a, b, c, L).truncate(N) == \
                 chi(m, a, b, c, L + 2).truncate(N) == \
                 rocha_caridi_truncated(p, pp, r, a, N)
+
+
+WALK_BUDGET = 4000  # leaves of the unpruned oracle walk per example
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_pruned_walk_equals_leaf_filtered_walk(data):
+    p, pp = data.draw(st.sampled_from(coprime_pairs(40)), label="(p, pp)")
+    members = takahashi_members(p, pp)
+    a = data.draw(st.sampled_from(members), label="a")
+    b = data.draw(st.sampled_from(members), label="b")
+    system = build_system(p, pp, a, b, data.draw(st.booleans(), label="tprime"))
+    q0 = system.Q[0]  # L of the other parity gives no m-vector at all
+    L = data.draw(st.integers(0, (30 - q0) // 2).map(lambda k: 2 * k + q0), label="L")
+    # the oracle visits every unpruned leaf: lower L by 2 until that fits
+    while L >= 0 and unpruned_walk_size(system, L) > WALK_BUDGET:
+        L -= 2
+    assume(L >= 0)
+    classical = list(leaf_filtered_walk(system, L, modified=False))
+    modified = list(leaf_filtered_walk(system, L, modified=True))
+    assert list(_iter_admissible_m(system, L)) == classical
+    assert list(_iter_admissible_m(system, L, annihilate=True)) == modified
+    assert [(s.m_hat, s.n) for s in mn_solutions(system, L)] == classical
+    for form, oracle in ((False, classical), (True, modified)):
+        terms = fermionic_terms(system, L, modified=form)
+        assert [(m_hat, n) for m_hat, n, _ in terms] == oracle
+        gauss = gaussian_modified if form else gaussian
+        for m_hat, n, term in terms[:20]:
+            prod = QPoly.one()
+            for j in range(1, system.t):
+                prod = prod * gauss(m_hat[j] + n[j - 1], m_hat[j])
+            assert term == prod.shift(term.min_quarter_exp())
+
+
+def test_three_routes_agree_at_large_L():
+    # (3,8) at L = 81: out of reach of the sparse division kernel
+    p, pp, a, b, L = 3, 8, 1, 2, 81
+    bos = bosonic(p, pp, a, b, c_from_b(p, pp, b), L)
+    assert fermionic_classical(p, pp, a, b, L) == bos
+    assert fermionic_modified(p, pp, a, b, L) == bos
+    assert all(c > 0 for c in bos.terms.values())
+    assert sum(bos.terms.values()) == step_count(pp, a, b, L)

@@ -158,6 +158,17 @@ def test_usage_errors(capsys, tmp_path):
     assert code == 2  # a outside the Takahashi sets
 
 
+@pytest.mark.parametrize("boundary", [5, "c", [3], None])
+def test_non_object_boundary_is_a_usage_error(capsys, tmp_path, boundary):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"p": 3, "pp": 8, "heights": [2, 3, 4],
+                               "boundary": boundary}))
+    code, out, err = run(capsys, "path", "weight", "--variant", "wt",
+                         "--input", str(bad))
+    assert code == 2 and out == ""
+    assert "boundary" in err and "Traceback" not in err
+
+
 def test_seed_fixtures(capsys, tmp_path):
     code, out, _ = run(capsys, "--seed-fixtures", str(tmp_path / "fx"))
     assert code == 0

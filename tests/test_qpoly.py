@@ -3,11 +3,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fbpaths import (
     QPoly, add, box_partition_oracle, div_exact, gaussian, gaussian_modified,
     invert_q, mul, pochhammer, shift, truncate,
 )
+from fbpaths.qpoly import kronecker_product
 
 ONE = QPoly.one()
 Q = QPoly.q_int(1)
@@ -143,3 +145,26 @@ def test_json_round_trip_and_integer_exponent_guard():
     assert QPoly.from_json_dict(d) == p
     with pytest.raises(ValueError):
         QPoly.monomial(1, 2).to_json_dict()  # q^(1/2) must not escape
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(0, 9), k=st.integers(0, 9))
+def test_dense_gaussian_matches_partition_oracle(m, k):
+    assert gaussian(m + k, m) == box_partition_oracle(k, m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=st.integers(-12, 30), b=st.integers(0, 12))
+def test_gaussian_modified_matches_pochhammer_quotient(a, b):
+    assert gaussian_modified(a, b) == div_exact(pochhammer(a - b + 1, b), pochhammer(1, b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 2 ** 70), min_size=1, max_size=12), max_size=4))
+def test_kronecker_product_matches_sparse_product(factors):
+    expected = QPoly.one()
+    for coeffs in factors:
+        expected = expected * QPoly({4 * e: c for e, c in enumerate(coeffs)})
+    dense = kronecker_product(factors)
+    assert len(dense) == 1 + sum(len(c) - 1 for c in factors)
+    assert QPoly({4 * e: c for e, c in enumerate(dense)}) == expected
