@@ -21,7 +21,8 @@ from .paths import (
 )
 from .qpoly import QPoly
 from .transforms import (
-    TransformError, b1, b2, b3, b_transform, bd_transform, d_transform, decompose,
+    TransformError, _first_mismatch, b1, b2, b3, b_transform, bd_transform,
+    d_transform, decompose,
 )
 from .characters import (
     bosonic, build_system, c_from_b, c_from_b_info, fermionic_classical,
@@ -77,22 +78,15 @@ def _identity_record(task) -> dict:
     ref_name = names[0]
     ref = values[ref_name]
     mismatch = None
-    equal = True
     for name in names[1:]:
-        other = values[name]
-        if other != ref:
-            equal = False
-            exps = sorted(set(ref.terms) | set(other.terms))
-            bad = next(e for e in exps if ref.terms.get(e, 0) != other.terms.get(e, 0))
-            mismatch = {
-                "forms": [ref_name, name],
-                "quarter_exponent": bad,
-                ref_name: ref.terms.get(bad, 0),
-                name: other.terms.get(bad, 0),
-            }
+        found = _first_mismatch(ref, values[name])
+        if found is not None:
+            bad, c_ref, c_other = found
+            mismatch = {"forms": [ref_name, name], "quarter_exponent": bad,
+                        ref_name: c_ref, name: c_other}
             break
     return {"p": p, "pp": pp, "a": a, "b": b, "c": c, "L": L,
-            "forms": names, "equal": equal, "mismatch": mismatch}
+            "forms": names, "equal": mismatch is None, "mismatch": mismatch}
 
 
 def iter_identity_tasks(ppmax: int, lmax: int, forms):

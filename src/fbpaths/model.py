@@ -164,18 +164,12 @@ def continued_fraction(p: int, pp: int) -> TakahashiData:
         y.append(cf[k - 1] * y[-1] + y[-2])
         z.append(cf[k - 1] * z[-1] + z[-2])
 
-    def zone(j: int) -> int:
-        for k in range(n + 1):
-            if t_bounds[k] < j <= t_bounds[k + 1]:
-                return k
-        raise AssertionError
-
     kappa, kappa_t, ell = [], [], []
-    for j in range(t + 1):
-        k = zone(j)
-        kappa.append(y[k] + (j - t_bounds[k]) * y[k + 1])
-        kappa_t.append(z[k] + (j - t_bounds[k]) * z[k + 1])
-        ell.append(y[k] + (j - t_bounds[k] - 1) * y[k + 1])
+    for k in range(n + 1):  # zone k holds t_k < j <= t_{k+1}; j stops at t
+        for i in range(1, min(t_bounds[k + 1], t) - t_bounds[k] + 1):
+            kappa.append(y[k] + i * y[k + 1])
+            kappa_t.append(z[k] + i * z[k + 1])
+            ell.append(y[k] + (i - 1) * y[k + 1])
 
     T = frozenset(kappa[:t])
     T_prime = frozenset(pp - s for s in kappa[:t])

@@ -88,25 +88,54 @@ def postseg_path(p: int, pp: int, heights, c: int) -> Path:
     return Path(Model(p, pp), tuple(heights), PostSeg(c))
 
 
-# -- vertex classification ---------------------------------------------------
+# -- vertex scoring ----------------------------------------------------------
 
-def _parity_table(model: Model) -> tuple[int, ...]:
-    """par[h] = parity of band h, with out-of-grid bands 0 and p'-1 even."""
-    f = [a * model.p // model.pp for a in range(model.pp + 1)]
-    par = [0] * model.pp
-    for h in range(1, model.pp - 1):
-        par[h] = 1 if f[h] != f[h + 1] else 0
-    return tuple(par)
+@lru_cache(maxsize=None)
+def _parity_table(model: Model) -> tuple[bool, ...]:
+    """par[h]: band h is odd, with out-of-grid bands 0 and p'-1 even."""
+    return (False, *map(bool, model.band_parities()), False)
 
 
-_parity_table = lru_cache(maxsize=None)(_parity_table)
+def _score(par, heights, in_up: bool, out_up: bool, wing: bool) -> tuple[int, list[bool]]:
+    """(weight, flags) of the vertices 0..L of a height sequence.
+
+    in_up is the direction into vertex 0 and out_up the direction out of
+    vertex L.  flags[i] says whether vertex i scores: straight in an odd band
+    or a peak in an even band; with `wing`, vertex L scores exactly when it is
+    a peak.  A scoring vertex adds its x coordinate (i - d)/2 when entered
+    upwards and its y coordinate (i + d)/2 otherwise, d = h_i - h_0, so
+    vertex 0 adds nothing.
+    """
+    L = len(heights) - 1
+    a = heights[0]
+    last = L if wing else -1
+    flags = [False] * (L + 1)
+    total = 0
+    for i in range(L + 1):
+        h = heights[i]
+        up = heights[i + 1] > h if i < L else out_up
+        # the wing rule: vertex L sits in a band that counts as even
+        if (in_up == up) == (i != last and par[h if up else h - 1]):
+            flags[i] = True
+            total += (i - h + a) // 2 if in_up else (i + h - a) // 2
+        in_up = up
+    return total, flags
 
 
-def _virtual_next(path: Path) -> int:
-    """h_{L+1}: the post-segment endpoint, or b + (-1)^f under wings."""
-    if isinstance(path.boundary, PostSeg):
-        return path.boundary.c
-    return path.b + (1 if path.boundary.f == 0 else -1)
+def _ends(boundary: PostSeg | Wings, b: int) -> tuple[bool, bool, bool]:
+    """(in_up, out_up, wing) arguments of _score for a boundary and endpoint b.
+
+    A post-segment path has no direction into vertex 0; it adds nothing to
+    the weight, so any value serves.
+    """
+    if isinstance(boundary, PostSeg):
+        return True, boundary.c > b, False
+    return boundary.e == 1, boundary.f == 0, True
+
+
+def _path_score(path: Path) -> tuple[int, list[bool]]:
+    hs = path.heights
+    return _score(_parity_table(path.model), hs, *_ends(path.boundary, hs[-1]))
 
 
 def classify_vertex(path: Path, i: int) -> tuple[str, str, bool]:
@@ -120,85 +149,29 @@ def classify_vertex(path: Path, i: int) -> tuple[str, str, bool]:
     L = path.L
     if not 0 <= i <= L:
         raise ValueError(f"vertex index {i} outside 0..{L}")
-    wings = isinstance(path.boundary, Wings)
-    if i == 0:
-        if not wings:
-            raise ValueError("0th vertex of a post-segment path has no pre-segment")
-        in_up = path.boundary.e == 1
-    else:
-        in_up = hs[i] > hs[i - 1]
-    nxt = hs[i + 1] if i < L else _virtual_next(path)
-    out_up = nxt > hs[i]
+    first_up, last_up, wing = _ends(path.boundary, path.b)
+    if i == 0 and not wing:
+        raise ValueError("0th vertex of a post-segment path has no pre-segment")
+    in_up = hs[i] > hs[i - 1] if i > 0 else first_up
+    out_up = hs[i + 1] > hs[i] if i < L else last_up
     shape = (STRAIGHT_UP if out_up else PEAK_UP) if in_up else (PEAK_DOWN if out_up else STRAIGHT_DOWN)
-    band = hs[i] if out_up else hs[i] - 1
-    odd = _parity_table(path.model)[band]
-    if wings and i == L:
-        scoring = in_up != out_up
-    else:
-        scoring = (in_up == out_up) == bool(odd)
-    return shape, ("odd" if odd else "even"), scoring
-
-
-def _wt_postseg(par, heights, c: int, L: int) -> int:
-    a = heights[0]
-    total = 0
-    for i in range(1, L + 1):
-        h = heights[i]
-        in_up = h > heights[i - 1]
-        nxt = heights[i + 1] if i < L else c
-        out_up = nxt > h
-        if (in_up == out_up) == bool(par[h if out_up else h - 1]):
-            d = h - a
-            total += (i - d) // 2 if in_up else (i + d) // 2
-    return total
-
-
-def _wtilde_and_m(par, heights, e: int, f: int, L: int) -> tuple[int, int]:
-    """(weight under the wing rule, number of non-scoring vertices)."""
-    a = heights[0]
-    if L == 0:
-        return 0, abs(f - e)
-    total = 0
-    nonscoring = 0
-    # vertex 0: no weight, counts for m
-    in_up = e == 1
-    out_up = heights[1] > heights[0]
-    if (in_up == out_up) != bool(par[heights[0] if out_up else heights[0] - 1]):
-        nonscoring += 1
-    for i in range(1, L):
-        h = heights[i]
-        in_up = h > heights[i - 1]
-        out_up = heights[i + 1] > h
-        if (in_up == out_up) == bool(par[h if out_up else h - 1]):
-            d = h - a
-            total += (i - d) // 2 if in_up else (i + d) // 2
-        else:
-            nonscoring += 1
-    # vertex L: scoring iff peak; weight x for peak-up, y for peak-down
-    in_up = heights[L] > heights[L - 1]
-    out_up = f == 0
-    if in_up != out_up:
-        d = heights[L] - a
-        total += (L - d) // 2 if in_up else (L + d) // 2
-    else:
-        nonscoring += 1
-    return total, nonscoring
+    par = _parity_table(path.model)
+    _, (scoring,) = _score(par, hs[i:i + 1], in_up, out_up, wing and i == L)
+    return shape, ("odd" if par[hs[i] if out_up else hs[i] - 1] else "even"), scoring
 
 
 def weight_wt(path: Path) -> int:
     """Path weight under the post-segment convention."""
     if not isinstance(path.boundary, PostSeg):
         raise ValueError("weight_wt needs a post-segment path")
-    return _wt_postseg(_parity_table(path.model), path.heights, path.boundary.c, path.L)
+    return _path_score(path)[0]
 
 
 def weight_wtilde(path: Path) -> int:
     """Path weight under the wing convention (f-dependent rule at the last vertex)."""
     if not isinstance(path.boundary, Wings):
         raise ValueError("weight_wtilde needs a winged path")
-    w, _ = _wtilde_and_m(_parity_table(path.model), path.heights,
-                         path.boundary.e, path.boundary.f, path.L)
-    return w
+    return _path_score(path)[0]
 
 
 # -- striking sequence -------------------------------------------------------
@@ -230,14 +203,8 @@ def striking_sequence(path: Path) -> StrikingSequence:
     L = path.L
     if L == 0:
         return StrikingSequence((), e, f, f)  # direction convention h_1 = h_0 + (-1)^f
-    par = _parity_table(path.model)
     d = 0 if hs[1] > hs[0] else 1
-    scoring = [False] * (L + 1)
-    for i in range(1, L):
-        in_up = hs[i] > hs[i - 1]
-        out_up = hs[i + 1] > hs[i]
-        scoring[i] = (in_up == out_up) == bool(par[hs[i] if out_up else hs[i] - 1])
-    scoring[L] = (hs[L] > hs[L - 1]) != (f == 0)
+    _, scoring = _path_score(path)
     cols = []
     start = 0  # first segment index of the current line
     i = 1
@@ -299,11 +266,11 @@ def path_stats(path: Path) -> PathStats:
     par = _parity_table(path.model)
     if path.L == 0:
         h1 = hs[0] + (1 if f == 0 else -1)
-        pi = par[min(hs[0], h1)]
+        pi = int(par[min(hs[0], h1)])
         return PathStats(m=abs(f - e), alpha=0, beta=f - e, pi=pi, d=f)
     ss = striking_sequence(path)
     d = ss.d
-    pi = par[min(hs[0], hs[1])]
+    pi = int(par[min(hs[0], hs[1])])
     sgn = 1 if d == 0 else -1
     w = ss.widths
     bs = tuple(b for _, b in ss.columns)
@@ -381,12 +348,13 @@ def chi(model: Model, a: int, b: int, c: int, L: int, attain=None) -> QPoly:
     if abs(c - b) != 1 or not 1 <= c <= model.pp - 1:
         raise ValueError(f"need c = b +- 1 within the grid, got b={b}, c={c}")
     par = _parity_table(model)
+    in_up, out_up, wing = _ends(PostSeg(c), b)
     req = frozenset(attain) if attain else None
     counts: dict[int, int] = {}
     for hs in iter_height_seqs(model, a, b, L):
         if req and not req.issubset(hs):
             continue
-        w = _wt_postseg(par, hs, c, L)
+        w, _ = _score(par, hs, in_up, out_up, wing)
         counts[w] = counts.get(w, 0) + 1
     return QPoly({4 * w: n for w, n in counts.items()})
 
@@ -396,11 +364,13 @@ def _chi_tilde_by_m(p: int, pp: int, a: int, b: int, e: int, f: int, L: int,
                     attain: frozenset[int] | None = None) -> dict[int, QPoly]:
     model = Model(p, pp)
     par = _parity_table(model)
+    in_up, out_up, wing = _ends(Wings(e, f), b)
     acc: dict[int, dict[int, int]] = {}
     for hs in iter_height_seqs(model, a, b, L):
         if attain and not attain.issubset(hs):
             continue
-        w, m = _wtilde_and_m(par, hs, e, f, L)
+        w, flags = _score(par, hs, in_up, out_up, wing)
+        m = flags.count(False)
         acc.setdefault(m, {})
         acc[m][w] = acc[m].get(w, 0) + 1
     return {m: QPoly({4 * w: n for w, n in cs.items()}) for m, cs in acc.items()}
@@ -451,14 +421,17 @@ def path_from_json(d: dict) -> Path:
         model = Model(int(d["p"]), int(d["pp"]))
         heights = tuple(int(h) for h in d["heights"])
         bd = d["boundary"]
-    except (KeyError, TypeError) as exc:
+        if not isinstance(bd, dict):
+            raise ValueError("boundary must be an object carrying c, or e and f")
+        if "c" in bd:
+            boundary: PostSeg | Wings = PostSeg(int(bd["c"]))
+        elif "e" in bd and "f" in bd:
+            boundary = Wings(int(bd["e"]), int(bd["f"]))
+        else:
+            raise ValueError("boundary must carry either c or both e and f")
+    except KeyError as exc:
         raise ValueError(f"malformed path JSON: missing {exc}") from exc
-    if not isinstance(bd, dict):
-        raise ValueError("boundary must be an object carrying c, or e and f")
-    if "c" in bd:
-        boundary: PostSeg | Wings = PostSeg(int(bd["c"]))
-    elif "e" in bd and "f" in bd:
-        boundary = Wings(int(bd["e"]), int(bd["f"]))
-    else:
-        raise ValueError("boundary must carry either c or both e and f")
+    except TypeError as exc:
+        raise ValueError("malformed path JSON: p, pp, the heights and the "
+                         f"boundary values must be integers ({exc})") from exc
     return Path(model, heights, boundary)

@@ -3,8 +3,9 @@
 The building blocks: path dilation into the (p, p'+p) model, insertion of k
 particles (adjacent pairs of scoring vertices), particle motion indexed by a
 partition, the parity-flip map onto the (p'-p, p') model, and single-unit
-extension/truncation at either end.  Every transform works on explicit
-height lists; striking-sequence identities are only used as test oracles.
+extension/truncation at either end.  Dilation and its inverse rebuild the
+path from its striking sequence; particle moves and the decomposition work
+on explicit height lists, reading the scoring flags of the paths kernel.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .model import Model
 from .paths import (
-    Path, Wings, _parity_table, _wtilde_and_m, chi_tilde, path_stats,
+    Path, Wings, _parity_table, _score, chi_tilde, path_stats,
     rebuild_heights, striking_sequence,
 )
 from .qpoly import QPoly, gaussian
@@ -29,34 +30,11 @@ def _require_wings(path: Path) -> Wings:
     return path.boundary
 
 
-# -- scoring flags (wing convention) -----------------------------------------
+# -- vertex scoring (wing convention) ----------------------------------------
 
-def _scoring_flags(model: Model, heights, e: int, f: int) -> list[bool]:
-    """Scoring status of vertices 0..L; vertex L scores exactly when a peak."""
-    par = _parity_table(model)
-    L = len(heights) - 1
-    if L == 0:
-        return [(e == 1) != (f == 0)]
-    flags = [False] * (L + 1)
-    in_up = e == 1
-    out_up = heights[1] > heights[0]
-    flags[0] = (in_up == out_up) == bool(par[heights[0] if out_up else heights[0] - 1])
-    for i in range(1, L):
-        in_up = heights[i] > heights[i - 1]
-        out_up = heights[i + 1] > heights[i]
-        flags[i] = (in_up == out_up) == bool(par[heights[i] if out_up else heights[i] - 1])
-    flags[L] = (heights[L] > heights[L - 1]) != (f == 0)
-    return flags
-
-
-def _wtilde(model: Model, heights, e: int, f: int) -> int:
-    w, _ = _wtilde_and_m(_parity_table(model), tuple(heights), e, f, len(heights) - 1)
-    return w
-
-
-def _m_count(model: Model, heights, e: int, f: int) -> int:
-    _, m = _wtilde_and_m(_parity_table(model), tuple(heights), e, f, len(heights) - 1)
-    return m
+def _score_wings(model: Model, heights, e: int, f: int) -> tuple[int, list[bool]]:
+    """(weight, scoring flags of vertices 0..L) of a winged height sequence."""
+    return _score(_parity_table(model), heights, e == 1, f == 0, True)
 
 
 # -- path dilation -----------------------------------------------------------
@@ -108,7 +86,7 @@ def b1_inverse(path0: Path) -> Path:
             raise TransformError("point path with e != f is not a dilation image")
         return Path(small, (a, a + step), Wings(e, f))
     ss = striking_sequence(path0)
-    flags = _scoring_flags(model, path0.heights, e, f)
+    _, flags = _score_wings(model, path0.heights, e, f)
     widths = list(ss.widths)
     bs = [b for _, b in ss.columns]
     # one straight vertex was inserted before every scoring vertex, except on
@@ -183,19 +161,16 @@ def _rewrite_window(model: Model, heights: list[int], e: int, f: int,
     hi = min(w0 + 2, L - 1)
     if lo > hi:
         raise TransformError("no movable vertex in the window")
-    old_w = _wtilde(model, heights, e, f)
-    old_m = _m_count(model, heights, e, f)
+    old_w, old_flags = _score_wings(model, heights, e, f)
+    old_m = old_flags.count(False)
     found = None
     for cand in _candidate_windows(heights, lo, hi, model.pp):
         new_heights = heights[:lo] + list(cand) + heights[hi + 1:]
         if new_heights == heights:
             continue
-        flags = _scoring_flags(model, new_heights, e, f)
-        if tuple(flags[w0:w0 + 3]) != after:
-            continue
-        if _wtilde(model, new_heights, e, f) - old_w != dw:
-            continue
-        if _m_count(model, new_heights, e, f) != old_m:
+        w, flags = _score_wings(model, new_heights, e, f)
+        if tuple(flags[w0:w0 + 3]) != after or w - old_w != dw \
+                or flags.count(False) != old_m:
             continue
         if found is not None:
             raise AssertionError("ambiguous particle move")
@@ -220,7 +195,7 @@ def move_particle_once(model: Model, heights: list[int], e: int, f: int,
     new heights and the new pair start v+1.
     """
     L = len(heights) - 1
-    flags = _scoring_flags(model, heights, e, f)
+    _, flags = _score_wings(model, heights, e, f)
     if not (v + 1 <= L and flags[v] and flags[v + 1]):
         raise TransformError(f"no scoring pair at vertices ({v},{v + 1})")
     while v + 2 <= L and flags[v + 2]:
@@ -238,7 +213,7 @@ def reverse_particle_move(model: Model, heights: list[int], e: int, f: int,
                           v: int) -> tuple[list[int], int]:
     """Move the scoring pair starting at vertex v one step left (inverse move)."""
     L = len(heights) - 1
-    flags = _scoring_flags(model, heights, e, f)
+    _, flags = _score_wings(model, heights, e, f)
     if not (v + 1 <= L and flags[v] and flags[v + 1]):
         raise TransformError(f"no scoring pair at vertices ({v},{v + 1})")
     if v - 1 < 0 or flags[v - 1]:
@@ -269,7 +244,7 @@ def b3(path: Path, lam, k: int | None = None, trace: list | None = None) -> Path
         raise TransformError("particle moves need p' > 2p")
     if model.delta(path.a, e) != 0 or model.delta(path.b, f) != 0:
         raise TransformError("particle moves need even pre- and post-segment bands")
-    if lam[0] > _m_count(model, path.heights, e, f):
+    if lam[0] > _score_wings(model, path.heights, e, f)[1].count(False):
         raise TransformError("lambda_1 exceeds the number of non-scoring vertices")
     heights = list(path.heights)
     for i, steps in enumerate(lam):
@@ -334,7 +309,7 @@ def decompose(path: Path, direction: str = "B") -> tuple[Path, int, tuple[int, .
     mu: list[int] = []
     j = 0
     while True:
-        flags = _scoring_flags(model, heights, e, f)
+        _, flags = _score_wings(model, heights, e, f)
         v = None
         for cand in range(2 * j, L):
             if flags[cand] and flags[cand + 1]:
@@ -346,7 +321,7 @@ def decompose(path: Path, direction: str = "B") -> tuple[Path, int, tuple[int, .
             raise TransformError("path is not in the image of the composite transform")
         moves = 0
         while v > 2 * j:
-            flags = _scoring_flags(model, heights, e, f)
+            _, flags = _score_wings(model, heights, e, f)
             if flags[v - 1]:
                 v -= 1  # relabel: the pair slides left over a scoring vertex
             else:
@@ -442,6 +417,9 @@ class BijectionReport:
 
 
 def _first_mismatch(lhs: QPoly, rhs: QPoly):
+    """(exponent, lhs coefficient, rhs coefficient) at the lowest difference, or None."""
+    if lhs == rhs:
+        return None
     exps = sorted(set(lhs.terms) | set(rhs.terms))
     for ex in exps:
         cl, cr = lhs.terms.get(ex, 0), rhs.terms.get(ex, 0)

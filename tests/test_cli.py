@@ -158,7 +158,8 @@ def test_usage_errors(capsys, tmp_path):
     assert code == 2  # a outside the Takahashi sets
 
 
-@pytest.mark.parametrize("boundary", [5, "c", [3], None])
+@pytest.mark.parametrize("boundary", [5, "c", [3], None, {"c": None},
+                                      {"e": [1], "f": 0}, {"c": {}}])
 def test_non_object_boundary_is_a_usage_error(capsys, tmp_path, boundary):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"p": 3, "pp": 8, "heights": [2, 3, 4],

@@ -5,13 +5,14 @@ from itertools import product
 from pathlib import Path as FsPath
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fbpaths import (
     Model, Path, PostSeg, QPoly, Wings, chi, chi_tilde, chi_tilde_by_m,
-    chi_tilde_restricted, classify_vertex, count_paths, enumerate_paths,
-    iter_height_seqs, path_from_json, path_stats, path_to_json, postseg_path,
-    rebuild_path, striking_sequence, weight_from_striking, weight_wt,
-    weight_wtilde, wings_path,
+    chi_tilde_restricted, classify_vertex, count_paths, d_transform,
+    enumerate_paths, iter_height_seqs, path_from_json, path_stats,
+    path_to_json, postseg_path, rebuild_path, striking_sequence,
+    weight_from_striking, weight_wt, weight_wtilde, wings_path,
 )
 from fbpaths.paths import beta_closed_form
 from helpers import coprime_pairs, winged_paths
@@ -141,6 +142,29 @@ def test_striking_lemma_and_stats_sweep():
             assert 0 <= st.m <= h.L + 1
             if h.L > 0:
                 assert rebuild_path(ss, m, h.a).heights == h.heights
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_scoring_laws_on_random_walks(data):
+    # the fixed grids above stop at p' <= 8 and L <= 12
+    p, pp = data.draw(st.sampled_from(coprime_pairs(40)), label="(p, pp)")
+    model = Model(p, pp)
+    hs = [data.draw(st.integers(1, pp - 1), label="a")]
+    for up in data.draw(st.lists(st.booleans(), max_size=40), label="steps"):
+        step = 1 if up else -1
+        if not 1 <= hs[-1] + step <= pp - 1:
+            step = -step  # reflect at the edge of the grid
+        hs.append(hs[-1] + step)
+    e, f = data.draw(st.integers(0, 1), label="e"), data.draw(st.integers(0, 1), label="f")
+    h = Path(model, tuple(hs), Wings(e, f))
+    w = weight_wtilde(h)
+    assert weight_from_striking(striking_sequence(h)) == w
+    assert 4 * (w + weight_wtilde(d_transform(h))) == h.L ** 2 - (h.b - h.a) ** 2
+    assert path_stats(h).m == sum(not classify_vertex(h, i)[2] for i in range(h.L + 1))
+    c = h.b + (1 if f == 0 else -1)
+    if model.delta(h.b, f) == 0 and 1 <= c <= pp - 1:
+        assert w == weight_wt(Path(model, h.heights, PostSeg(c)))
 
 
 def test_enumeration_matches_count_oracle():
