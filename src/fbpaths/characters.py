@@ -397,7 +397,7 @@ def _fermionic(p: int, pp: int, a: int, b: int, L: int, modified: bool,
         elif a > pp - yn and b > pp - yn:
             total = total + _sub_character(zn, yn, pp - a, pp - b, pp - c, L)
     if not total.has_integer_exponents():
-        raise AssertionError("fermionic sum produced fractional exponents")
+        raise RuntimeError("fermionic sum produced fractional exponents")
     return total
 
 

@@ -12,9 +12,8 @@ import argparse
 import json
 import sys
 import time
-from math import gcd
 
-from .model import Model, continued_fraction, format_model_tables
+from .model import Model, continued_fraction, coprime_pairs, format_model_tables
 from .paths import (
     Path, PostSeg, Wings, chi, chi_tilde, chi_tilde_restricted, path_from_json,
     path_to_json, striking_sequence, weight_wt, weight_wtilde,
@@ -49,13 +48,6 @@ def _print_poly(poly: QPoly, fmt: str) -> None:
         print(poly)
     else:
         print(json.dumps(poly.to_json_dict()))
-
-
-def _coprime_pairs(ppmax: int):
-    for pp in range(3, ppmax + 1):
-        for p in range(1, pp):
-            if gcd(p, pp) == 1:
-                yield p, pp
 
 
 # -- verification sweep --------------------------------------------------------
@@ -94,7 +86,7 @@ def iter_identity_tasks(ppmax: int, lmax: int, forms):
     endpoints with the canonical c for the fermionic forms."""
     boson_side = [f for f in forms if f in ("enumerate", "bosonic")]
     fermi_side = [f for f in forms if f.startswith("fermionic")]
-    for p, pp in _coprime_pairs(ppmax):
+    for p, pp in coprime_pairs(ppmax):
         tak = continued_fraction(p, pp)
         members = sorted(tak.T | tak.T_prime)
         for a in range(1, pp):
@@ -277,13 +269,11 @@ def _cmd_transform(args) -> int:
         out = d_transform(path)
     elif args.kind == "bd":
         out = bd_transform(path, args.k, lam, trace=trace)
-    elif args.kind == "decompose":
+    else:  # decompose
         base, k, lam_found = decompose(path, args.direction)
         print(json.dumps({"path": path_to_json(base), "k": k,
                           "lambda": list(lam_found)}))
         return 0
-    else:  # pragma: no cover
-        raise AssertionError(args.kind)
     print(json.dumps({"path": path_to_json(out), "trace": trace}))
     return 0
 
@@ -347,16 +337,15 @@ def main(argv=None) -> int:
             return _cmd_transform(args)
         if args.cmd == "mn":
             return _cmd_mn(args)
-        if args.cmd == "verify":
-            forms = tuple(f.strip() for f in args.forms.split(",") if f.strip())
-            for f in forms:
-                if f not in ALL_FORMS:
-                    raise ValueError(f"unknown form {f!r}")
-            if args.output:
-                with open(args.output, "w") as fh:
-                    return run_verify_identity(args.ppmax, args.Lmax, args.jobs, forms, fh)
-            return run_verify_identity(args.ppmax, args.Lmax, args.jobs, forms, sys.stdout)
-        raise AssertionError(args.cmd)  # pragma: no cover
+        # verify
+        forms = tuple(f.strip() for f in args.forms.split(",") if f.strip())
+        for f in forms:
+            if f not in ALL_FORMS:
+                raise ValueError(f"unknown form {f!r}")
+        if args.output:
+            with open(args.output, "w") as fh:
+                return run_verify_identity(args.ppmax, args.Lmax, args.jobs, forms, fh)
+        return run_verify_identity(args.ppmax, args.Lmax, args.jobs, forms, sys.stdout)
     except (ValueError, TransformError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,6 +9,7 @@ fermionic character sums are written in.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
@@ -112,10 +113,7 @@ class TakahashiData:
         """The unique k with t_k < j <= t_{k+1} (0 <= j <= t+1)."""
         if not 0 <= j <= self.t_bounds[self.n + 1]:
             raise ValueError(f"index {j} outside 0..{self.t_bounds[self.n + 1]}")
-        for k in range(self.n + 1):
-            if self.t_bounds[k] < j <= self.t_bounds[k + 1]:
-                return k
-        raise AssertionError("zone bounds do not cover index")
+        return bisect_left(self.t_bounds, j) - 1  # t_bounds strictly increases
 
     def membership(self, a: int, prefer_t_prime: bool = False) -> tuple[str | None, int]:
         """Classify height a against the Takahashi sets.
@@ -133,6 +131,12 @@ class TakahashiData:
         if in_tp:
             return "T'", self.kappa.index(self.pp - a)
         return None, -1
+
+
+def coprime_pairs(ppmax: int) -> list[tuple[int, int]]:
+    """Every coprime (p, p') with 0 < p < p' and 3 <= p' <= ppmax, by p' then p."""
+    return [(p, pp) for pp in range(3, ppmax + 1) for p in range(1, pp)
+            if gcd(p, pp) == 1]
 
 
 def continued_fraction_digits(p: int, pp: int) -> tuple[int, ...]:

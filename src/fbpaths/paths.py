@@ -257,20 +257,24 @@ class PathStats:
     d: int
 
 
+def _first_band_parity(path: Path) -> int:
+    """pi: parity of the band under the first segment of a winged path (the
+    post-segment when L = 0)."""
+    hs = path.heights
+    h1 = hs[1] if path.L else hs[0] + (1 if path.boundary.f == 0 else -1)
+    return int(_parity_table(path.model)[min(hs[0], h1)])
+
+
 def path_stats(path: Path) -> PathStats:
     """m, alpha, beta, pi, d computed from the striking sequence."""
     if not isinstance(path.boundary, Wings):
         raise ValueError("path statistics are defined for winged paths")
     e, f = path.boundary.e, path.boundary.f
-    hs = path.heights
-    par = _parity_table(path.model)
+    pi = _first_band_parity(path)
     if path.L == 0:
-        h1 = hs[0] + (1 if f == 0 else -1)
-        pi = int(par[min(hs[0], h1)])
         return PathStats(m=abs(f - e), alpha=0, beta=f - e, pi=pi, d=f)
     ss = striking_sequence(path)
     d = ss.d
-    pi = int(par[min(hs[0], hs[1])])
     sgn = 1 if d == 0 else -1
     w = ss.widths
     bs = tuple(b for _, b in ss.columns)
@@ -416,17 +420,23 @@ def path_to_json(path: Path) -> dict:
     return d
 
 
+def _json_int(x) -> int:
+    if type(x) is not int:  # no bool, float or numeric string
+        raise TypeError(f"{x!r} is not an integer")
+    return x
+
+
 def path_from_json(d: dict) -> Path:
     try:
-        model = Model(int(d["p"]), int(d["pp"]))
-        heights = tuple(int(h) for h in d["heights"])
+        model = Model(_json_int(d["p"]), _json_int(d["pp"]))
+        heights = tuple(_json_int(h) for h in d["heights"])
         bd = d["boundary"]
         if not isinstance(bd, dict):
             raise ValueError("boundary must be an object carrying c, or e and f")
         if "c" in bd:
-            boundary: PostSeg | Wings = PostSeg(int(bd["c"]))
+            boundary: PostSeg | Wings = PostSeg(_json_int(bd["c"]))
         elif "e" in bd and "f" in bd:
-            boundary = Wings(int(bd["e"]), int(bd["f"]))
+            boundary = Wings(_json_int(bd["e"]), _json_int(bd["f"]))
         else:
             raise ValueError("boundary must carry either c or both e and f")
     except KeyError as exc:

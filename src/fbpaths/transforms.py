@@ -6,6 +6,9 @@ partition, the parity-flip map onto the (p'-p, p') model, and single-unit
 extension/truncation at either end.  Dilation and its inverse rebuild the
 path from its striking sequence; particle moves and the decomposition work
 on explicit height lists, reading the scoring flags of the paths kernel.
+A particle moves one step by a local swap of two segment steps: the step
+of one segment trades places with the step of the segment just before it
+or of the one before that, and the scoring flags decide which.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .model import Model
 from .paths import (
-    Path, Wings, _parity_table, _score, chi_tilde, path_stats,
+    Path, Wings, _first_band_parity, _parity_table, _score, chi_tilde,
     rebuild_heights, striking_sequence,
 )
 from .qpoly import QPoly, gaussian
@@ -56,12 +59,12 @@ def b1(path: Path) -> Path:
             raise TransformError("dilation is undefined for L = 0 with e != f")
         return Path(big, (a_new,), Wings(e, f))
     ss = striking_sequence(path)
-    st = path_stats(path)
+    pi = _first_band_parity(path)
     widths = list(ss.widths)
     bs = [b for _, b in ss.columns]
     new_widths = [w + b for w, b in zip(widths, bs)]
-    if (e + ss.d + st.pi) % 2 == 1:
-        new_widths[0] = widths[0] + bs[0] + 2 * st.pi - 1
+    if (e + ss.d + pi) % 2 == 1:
+        new_widths[0] = widths[0] + bs[0] + 2 * pi - 1
     return Path(big, rebuild_heights(new_widths, ss.d, a_new), Wings(e, f))
 
 
@@ -131,49 +134,34 @@ def b2(path: Path, k: int) -> Path:
 
 # -- particle moves ----------------------------------------------------------
 
-def _candidate_windows(heights, lo: int, hi: int, pp: int):
-    """All +-1-step refills of positions lo..hi (0 < lo, hi < L), anchored."""
-    fixed_left = heights[lo - 1]
-    fixed_right = heights[hi + 1]
-
-    def rec(pos: int, prev: int, acc: tuple[int, ...]):
-        if pos > hi:
-            if abs(fixed_right - prev) == 1:
-                yield acc
-            return
-        for nh in (prev - 1, prev + 1):
-            if 1 <= nh <= pp - 1:
-                yield from rec(pos + 1, nh, acc + (nh,))
-
-    yield from rec(lo, fixed_left, ())
-
-
 def _rewrite_window(model: Model, heights: list[int], e: int, f: int,
                     w0: int, after: tuple[bool, bool, bool], dw: int) -> list[int]:
     """Re-route the three vertices w0..w0+2 so their scoring pattern becomes
     `after`, the weight changes by exactly dw, and m is preserved.
 
-    The endpoints of the enclosing four segments stay put (h_0 and h_L are
-    always pinned); there must be exactly one such re-routing.
+    With s_i = h_{i+1} - h_i the step of segment i, a particle move swaps
+    s_{w0+1} with s_{w0} or with s_{w0-1}; swapping the steps of segments
+    i < j shifts h_{i+1}..h_j by s_j - s_i and pins every other height.
+    Exactly one of the two swaps must stay on the grid and pass the check.
+    Both callers pass 0 <= w0 <= L - 2.
     """
-    L = len(heights) - 1
-    lo = max(w0, 1)
-    hi = min(w0 + 2, L - 1)
-    if lo > hi:
-        raise TransformError("no movable vertex in the window")
+    j = w0 + 1
     old_w, old_flags = _score_wings(model, heights, e, f)
     old_m = old_flags.count(False)
+    s_j = heights[j + 1] - heights[j]
     found = None
-    for cand in _candidate_windows(heights, lo, hi, model.pp):
-        new_heights = heights[:lo] + list(cand) + heights[hi + 1:]
-        if new_heights == heights:
+    for i in ((w0, w0 - 1) if w0 else (w0,)):  # segment w0-1 needs w0 >= 1
+        shift = s_j - (heights[i + 1] - heights[i])
+        moved = [h + shift for h in heights[i + 1:j + 1]]
+        if not shift or not all(1 <= h < model.pp for h in moved):
             continue
+        new_heights = heights[:i + 1] + moved + heights[j + 1:]
         w, flags = _score_wings(model, new_heights, e, f)
         if tuple(flags[w0:w0 + 3]) != after or w - old_w != dw \
                 or flags.count(False) != old_m:
             continue
         if found is not None:
-            raise AssertionError("ambiguous particle move")
+            raise RuntimeError("ambiguous particle move")
         found = new_heights
     if found is None:
         raise TransformError("particle move is blocked")

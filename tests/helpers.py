@@ -1,18 +1,12 @@
 """Shared sweep helpers for the test suite."""
 
 from itertools import product
-from math import gcd
 
-from fbpaths import Model, Path, Wings, iter_height_seqs
+from hypothesis import strategies as st
 
-
-def coprime_pairs(ppmax, ppmin=3):
-    out = []
-    for pp in range(ppmin, ppmax + 1):
-        for p in range(1, pp):
-            if gcd(p, pp) == 1:
-                out.append((p, pp))
-    return out
+from fbpaths import Model, Path, TransformError, Wings, iter_height_seqs
+from fbpaths.model import coprime_pairs
+from fbpaths.transforms import _score_wings
 
 
 def winged_paths(p, pp, lmax, require_delta_a=False, require_delta_b=False):
@@ -27,6 +21,55 @@ def winged_paths(p, pp, lmax, require_delta_a=False, require_delta_b=False):
             for L in range((a + b) % 2, lmax + 1, 2):
                 for hs in iter_height_seqs(model, a, b, L):
                     yield Path(model, hs, Wings(e, f))
+
+
+def random_winged_walk(data, ppmax, max_steps):
+    """Draw a coprime model with p' <= ppmax, a start height, up to max_steps
+    unit steps reflected at the edge of the grid, and wings (e, f)."""
+    p, pp = data.draw(st.sampled_from(coprime_pairs(ppmax)), label="(p, pp)")
+    model = Model(p, pp)
+    hs = [data.draw(st.integers(1, pp - 1), label="a")]
+    for up in data.draw(st.lists(st.booleans(), max_size=max_steps), label="steps"):
+        step = 1 if up else -1
+        if not 1 <= hs[-1] + step <= pp - 1:
+            step = -step  # reflect at the edge of the grid
+        hs.append(hs[-1] + step)
+    e, f = data.draw(st.integers(0, 1), label="e"), data.draw(st.integers(0, 1), label="f")
+    return Path(model, tuple(hs), Wings(e, f))
+
+
+def refill_search(model, heights, e, f, w0, after, dw):
+    """Oracle for transforms._rewrite_window: try every +-1 refill of the
+    heights max(w0, 1)..min(w0 + 2, L - 1) between their pinned neighbours,
+    score the whole path for each, and keep the one re-routing that gives
+    vertices w0..w0+2 the scoring pattern `after`, changes the weight by dw
+    and keeps m."""
+    L = len(heights) - 1
+    lo, hi = max(w0, 1), min(w0 + 2, L - 1)
+    old_w, old_flags = _score_wings(model, heights, e, f)
+
+    def refills(pos, prev, acc):
+        if pos > hi:
+            if abs(heights[hi + 1] - prev) == 1:
+                yield acc
+            return
+        for nh in (prev - 1, prev + 1):
+            if 1 <= nh <= model.pp - 1:
+                yield from refills(pos + 1, nh, acc + [nh])
+
+    found = []
+    for cand in refills(lo, heights[lo - 1], []):
+        new_heights = heights[:lo] + cand + heights[hi + 1:]
+        if new_heights == heights:
+            continue
+        w, flags = _score_wings(model, new_heights, e, f)
+        if tuple(flags[w0:w0 + 3]) == after and w - old_w == dw \
+                and flags.count(False) == old_flags.count(False):
+            found.append(new_heights)
+    assert len(found) <= 1, "ambiguous particle move"
+    if not found:
+        raise TransformError("particle move is blocked")
+    return found[0]
 
 
 def unpruned_walk(system, L):

@@ -159,7 +159,8 @@ def test_usage_errors(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("boundary", [5, "c", [3], None, {"c": None},
-                                      {"e": [1], "f": 0}, {"c": {}}])
+                                      {"e": [1], "f": 0}, {"c": {}},
+                                      {"c": 3.5}, {"e": True, "f": "0"}])
 def test_non_object_boundary_is_a_usage_error(capsys, tmp_path, boundary):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"p": 3, "pp": 8, "heights": [2, 3, 4],
@@ -168,6 +169,20 @@ def test_non_object_boundary_is_a_usage_error(capsys, tmp_path, boundary):
                          "--input", str(bad))
     assert code == 2 and out == ""
     assert "boundary" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, value", [("p", 3.0), ("p", "3"),
+                                          ("heights", [2.9, 3.2, 4.99]),
+                                          ("heights", ["2", "3", "4"])])
+def test_non_integer_path_json_is_a_usage_error(capsys, tmp_path, field, value):
+    doc = {"p": 3, "pp": 8, "heights": [2, 3, 4], "boundary": {"c": 3}}
+    doc[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "path", "weight", "--variant", "wt",
+                         "--input", str(bad))
+    assert code == 2 and out == ""
+    assert "integer" in err and "Traceback" not in err
 
 
 def test_seed_fixtures(capsys, tmp_path):

@@ -15,7 +15,7 @@ from fbpaths import (
     weight_from_striking, weight_wt, weight_wtilde, wings_path,
 )
 from fbpaths.paths import beta_closed_form
-from helpers import coprime_pairs, winged_paths
+from helpers import coprime_pairs, random_winged_walk, winged_paths
 
 FIXTURES = FsPath(__file__).parent / "fixtures"
 
@@ -148,16 +148,8 @@ def test_striking_lemma_and_stats_sweep():
 @given(data=st.data())
 def test_scoring_laws_on_random_walks(data):
     # the fixed grids above stop at p' <= 8 and L <= 12
-    p, pp = data.draw(st.sampled_from(coprime_pairs(40)), label="(p, pp)")
-    model = Model(p, pp)
-    hs = [data.draw(st.integers(1, pp - 1), label="a")]
-    for up in data.draw(st.lists(st.booleans(), max_size=40), label="steps"):
-        step = 1 if up else -1
-        if not 1 <= hs[-1] + step <= pp - 1:
-            step = -step  # reflect at the edge of the grid
-        hs.append(hs[-1] + step)
-    e, f = data.draw(st.integers(0, 1), label="e"), data.draw(st.integers(0, 1), label="f")
-    h = Path(model, tuple(hs), Wings(e, f))
+    h = random_winged_walk(data, ppmax=40, max_steps=40)
+    model, pp, f = h.model, h.model.pp, h.boundary.f
     w = weight_wtilde(h)
     assert weight_from_striking(striking_sequence(h)) == w
     assert 4 * (w + weight_wtilde(d_transform(h))) == h.L ** 2 - (h.b - h.a) ** 2

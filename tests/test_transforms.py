@@ -3,6 +3,7 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fbpaths import (
     Model, Path, TransformError, Wings, b1, b1_inverse, b2, b3, b_transform,
@@ -12,7 +13,10 @@ from fbpaths import (
     wings_path,
 )
 from fbpaths.qpoly import partitions_in_box
-from helpers import winged_paths
+from fbpaths.transforms import (
+    _rewrite_window, _score_wings, move_particle_once, reverse_particle_move,
+)
+from helpers import coprime_pairs, random_winged_walk, refill_search, winged_paths
 
 FIG1 = (2, 3, 4, 5, 4, 5, 6, 7, 6, 5, 6, 5, 4, 3, 4)
 
@@ -129,6 +133,57 @@ def test_b3_identity_and_bijection():
                     assert weight_wtilde(img) == w0 + sum(lam)
                     assert img.L == hk.L
                     assert path_stats(img).m == mk
+
+
+def _move_windows(path):
+    """The arguments move_particle_once (after its slide) and
+    reverse_particle_move hand to _rewrite_window, for every scoring pair."""
+    model, hs = path.model, list(path.heights)
+    e, f = path.boundary.e, path.boundary.f
+    _, flags = _score_wings(model, hs, e, f)
+    windows = []
+
+    def record(*args):
+        windows.append(args)
+        return _rewrite_window(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("fbpaths.transforms._rewrite_window", record)
+        for v in range(path.L):
+            if flags[v] and flags[v + 1]:
+                for move in (move_particle_once, reverse_particle_move):
+                    try:
+                        move(model, hs, e, f, v)
+                    except TransformError:
+                        pass
+    return windows
+
+
+def _outcome(rewrite, args):
+    try:
+        return rewrite(*args)
+    except TransformError:
+        return TransformError
+
+
+def _assert_moves_equal_refill_search(path):
+    windows = _move_windows(path)
+    for args in windows:
+        assert _outcome(_rewrite_window, args) == _outcome(refill_search, args), args
+    return len(windows)
+
+
+def test_moves_equal_refill_search():
+    # the two segment swaps find exactly what the +-1 refill search finds
+    n = sum(_assert_moves_equal_refill_search(h)
+            for p, pp in coprime_pairs(8) for h in winged_paths(p, pp, 6))
+    assert n == 29768
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_moves_equal_refill_search_on_random_walks(data):
+    _assert_moves_equal_refill_search(random_winged_walk(data, ppmax=40, max_steps=30))
 
 
 def test_b3_rejects_bad_lambda():
