@@ -39,13 +39,13 @@ def bosonic(p: int, pp: int, a: int, b: int, c: int, L: int) -> QPoly:
     # positive sum: Gaussian lower index base - p'*lam must lie in 0..L
     for lam in range(-((L - base) // pp), base // pp + 1):
         ex = lam * lam * p * pp + lam * (pp * r - p * a)
-        out = out + gaussian(L, base - pp * lam).shift(4 * ex)
+        out = out + gaussian(L, base - pp * lam).shift(ex)
     # negative sum: lower index base - p'*lam - a in 0..L
     lo = -((L - base + a) // pp)
     hi = (base - a) // pp
     for lam in range(lo, hi + 1):
         ex = (lam * p + r) * (lam * pp + a)
-        out = out - gaussian(L, base - pp * lam - a).shift(4 * ex)
+        out = out - gaussian(L, base - pp * lam - a).shift(ex)
     return out
 
 
@@ -56,7 +56,7 @@ def partition_series(N: int) -> QPoly:
     for part in range(1, N + 1):
         for n in range(part, N + 1):
             ways[n] += ways[n - part]
-    return QPoly({4 * n: w for n, w in enumerate(ways) if w})
+    return QPoly(dict(enumerate(ways)))
 
 
 def rocha_caridi_truncated(p: int, pp: int, r: int, s: int, N: int) -> QPoly:
@@ -326,10 +326,11 @@ def _iter_admissible_m(system: FermionicSystem, L: int, annihilate: bool = False
     yield from rec(0)
 
 
-def _exponent_quarter(system: FermionicSystem, m_hat: tuple[int, ...],
-                      w: list[int]) -> int:
-    """m_hat^T C m_hat - L^2 - 2 w.m + gamma, in quarter units, where
-    w = u_L^flat + u_R^sharp."""
+def _exponent(system: FermionicSystem, m_hat: tuple[int, ...], w: list[int]) -> int:
+    """(m_hat^T C m_hat - L^2 - 2 w.m + gamma)/4, where w = u_L^flat + u_R^sharp.
+
+    Raises RuntimeError if the quadratic form is not divisible by 4.
+    """
     t = system.t
     C = system.C
     quad = 0
@@ -339,7 +340,10 @@ def _exponent_quarter(system: FermionicSystem, m_hat: tuple[int, ...],
             row = C[i]
             quad += mi * sum(row[j] * m_hat[j] for j in range(t) if row[j])
     lin = sum(w[j - 1] * m_hat[j] for j in range(1, t))
-    return quad - m_hat[0] ** 2 - 2 * lin + system.gamma
+    exp, frac = divmod(quad - m_hat[0] ** 2 - 2 * lin + system.gamma, 4)
+    if frac:
+        raise RuntimeError(f"fermionic summand {m_hat} has a fractional exponent")
+    return exp
 
 
 def fermionic_terms(system: FermionicSystem, L: int, modified: bool):
@@ -356,10 +360,9 @@ def fermionic_terms(system: FermionicSystem, L: int, modified: bool):
     for m_hat, n in _iter_admissible_m(system, L, annihilate=modified):
         factors = [gaussian(m + nj, m).terms.values()
                    for m, nj in zip(m_hat[1:], n) if m]
-        low = _exponent_quarter(system, m_hat, w)
-        coeffs = kronecker_product(factors)
+        low = _exponent(system, m_hat, w)
         term = QPoly.__new__(QPoly)
-        term.terms = dict(zip(range(low, low + 4 * len(coeffs), 4), coeffs))
+        term.terms = dict(enumerate(kronecker_product(factors), low))
         out.append((m_hat, n, term))
     return out
 
@@ -396,8 +399,6 @@ def _fermionic(p: int, pp: int, a: int, b: int, L: int, modified: bool,
             total = total + _sub_character(zn, yn, a, b, c, L)
         elif a > pp - yn and b > pp - yn:
             total = total + _sub_character(zn, yn, pp - a, pp - b, pp - c, L)
-    if not total.has_integer_exponents():
-        raise RuntimeError("fermionic sum produced fractional exponents")
     return total
 
 

@@ -28,21 +28,6 @@ from .characters import (
     fermionic_modified, mn_solutions,
 )
 
-FIG_FIXTURE = {
-    "p": 3,
-    "pp": 8,
-    "heights": [2, 3, 4, 5, 4, 5, 6, 7, 6, 5, 6, 5, 4, 3, 4],
-    "boundary": {"c": 3},
-    "_derivation": (
-        "Heights forced by the 45-degree coordinates (0,0),(0,1),(0,2),(0,3),"
-        "(1,3),(1,4),(1,5),(1,6),(2,6),... together with the striking columns "
-        "(2/1,0/1,1/2,1/1,1/0,2/1,0/1): line widths 3,1,3,2,1,3,1 from start "
-        "height 2, first line ascending.  Weight 24, scoring vertices at "
-        "i=3,4,5,7,8,13,14."
-    ),
-}
-
-
 def _print_poly(poly: QPoly, fmt: str) -> None:
     if fmt == "text":
         print(poly)
@@ -74,7 +59,7 @@ def _identity_record(task) -> dict:
         found = _first_mismatch(ref, values[name])
         if found is not None:
             bad, c_ref, c_other = found
-            mismatch = {"forms": [ref_name, name], "quarter_exponent": bad,
+            mismatch = {"forms": [ref_name, name], "exponent": bad,
                         ref_name: c_ref, name: c_other}
             break
     return {"p": p, "pp": pp, "a": a, "b": b, "c": c, "L": L,
@@ -127,8 +112,6 @@ def run_verify_identity(ppmax: int, lmax: int, jobs: int, forms, out) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="fbpaths")
-    ap.add_argument("--seed-fixtures", metavar="DIR",
-                    help="write the canonical path fixtures into DIR and exit")
     sub = ap.add_subparsers(dest="cmd")
 
     mp = sub.add_parser("model", help="band model inspection")
@@ -290,21 +273,9 @@ def _cmd_mn(args) -> int:
     return 0
 
 
-def _seed_fixtures(dirname: str) -> int:
-    import os
-    os.makedirs(dirname, exist_ok=True)
-    with open(os.path.join(dirname, "fig1.json"), "w") as fh:
-        json.dump(FIG_FIXTURE, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote fig1.json to {dirname}")
-    return 0
-
-
 def main(argv=None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
-    if args.seed_fixtures:
-        return _seed_fixtures(args.seed_fixtures)
     if not args.cmd:
         ap.print_usage(sys.stderr)
         return 2

@@ -360,7 +360,7 @@ def chi(model: Model, a: int, b: int, c: int, L: int, attain=None) -> QPoly:
             continue
         w, _ = _score(par, hs, in_up, out_up, wing)
         counts[w] = counts.get(w, 0) + 1
-    return QPoly({4 * w: n for w, n in counts.items()})
+    return QPoly(counts)
 
 
 @lru_cache(maxsize=None)
@@ -377,7 +377,7 @@ def _chi_tilde_by_m(p: int, pp: int, a: int, b: int, e: int, f: int, L: int,
         m = flags.count(False)
         acc.setdefault(m, {})
         acc[m][w] = acc[m].get(w, 0) + 1
-    return {m: QPoly({4 * w: n for w, n in cs.items()}) for m, cs in acc.items()}
+    return {m: QPoly(cs) for m, cs in acc.items()}
 
 
 def chi_tilde_by_m(model: Model, a: int, b: int, e: int, f: int, L: int,

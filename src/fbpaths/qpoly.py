@@ -1,11 +1,10 @@
-"""Exact sparse Laurent polynomials in q, with exponents kept in quarter units.
+"""Exact sparse Laurent polynomials in q with integer exponents.
 
 Everything downstream (path weights, Gaussian polynomials, character sums)
-is exact integer arithmetic.  Exponents are stored pre-scaled by 4, so the
-stored key k stands for q^(k/4); prefactors like q^(1/4)(...) that show up
-in the fermionic sums never force rational arithmetic.  A polynomial whose
-stored exponents are all divisible by 4 is in "integer-exponent" form, and
-that is asserted whenever a polynomial leaves the library (JSON).
+is exact integer arithmetic.  The fermionic sums write their exponents as
+quadratic forms over 4; characters._exponent divides each one by 4 and
+raises if it does not divide, and the bijection verifiers do the same with
+their prefactors, so no other code sees a fractional exponent.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from itertools import accumulate
 class QPoly:
     """Sparse Laurent polynomial over the integers.
 
-    ``terms`` maps quarter-exponent -> nonzero coefficient.  Instances are
+    ``terms`` maps exponent -> nonzero coefficient.  Instances are
     treated as immutable: all arithmetic returns new objects, and equality
     is term-map equality (canonical form has no zero coefficients).
     """
@@ -39,14 +38,9 @@ class QPoly:
         return QPoly({0: 1})
 
     @staticmethod
-    def monomial(coeff: int, quarter_exp: int = 0) -> QPoly:
-        """coeff * q^(quarter_exp/4)."""
-        return QPoly({quarter_exp: coeff})
-
-    @staticmethod
     def q_int(exp: int = 1, coeff: int = 1) -> QPoly:
-        """coeff * q^exp with an ordinary integer exponent."""
-        return QPoly({4 * exp: coeff})
+        """coeff * q^exp."""
+        return QPoly({exp: coeff})
 
     # -- basic queries -----------------------------------------------------
 
@@ -55,38 +49,27 @@ class QPoly:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
-            other = QPoly.monomial(other)
+            other = QPoly({0: other})
         if not isinstance(other, QPoly):
             return NotImplemented
         return self.terms == other.terms
 
     __hash__ = None  # mutable dict inside; not hashable
 
-    def min_quarter_exp(self) -> int:
+    def min_exp(self) -> int:
         if not self.terms:
             raise ValueError("zero polynomial has no valuation")
         return min(self.terms)
 
-    def max_quarter_exp(self) -> int:
-        if not self.terms:
-            raise ValueError("zero polynomial has no degree")
-        return max(self.terms)
-
     def coeff(self, exp: int) -> int:
-        """Coefficient of q^exp (integer exponent)."""
-        return self.terms.get(4 * exp, 0)
-
-    def coeff_quarter(self, quarter_exp: int) -> int:
-        return self.terms.get(quarter_exp, 0)
-
-    def has_integer_exponents(self) -> bool:
-        return all(e % 4 == 0 for e in self.terms)
+        """Coefficient of q^exp."""
+        return self.terms.get(exp, 0)
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: QPoly | int) -> QPoly:
         if isinstance(other, int):
-            other = QPoly.monomial(other)
+            other = QPoly({0: other})
         out = dict(self.terms)
         for e, c in other.terms.items():
             s = out.get(e, 0) + c
@@ -107,11 +90,11 @@ class QPoly:
 
     def __sub__(self, other: QPoly | int) -> QPoly:
         if isinstance(other, int):
-            other = QPoly.monomial(other)
+            other = QPoly({0: other})
         return self + (-other)
 
     def __rsub__(self, other: int) -> QPoly:
-        return QPoly.monomial(other) - self
+        return QPoly({0: other}) - self
 
     def __mul__(self, other: QPoly | int) -> QPoly:
         if isinstance(other, int):
@@ -135,10 +118,10 @@ class QPoly:
 
     __rmul__ = __mul__
 
-    def shift(self, quarter_exp: int) -> QPoly:
-        """Multiply by q^(quarter_exp/4): add quarter_exp to every exponent."""
+    def shift(self, exp: int) -> QPoly:
+        """Multiply by q^exp: add exp to every exponent."""
         res = QPoly.__new__(QPoly)
-        res.terms = {e + quarter_exp: c for e, c in self.terms.items()}
+        res.terms = {e + exp: c for e, c in self.terms.items()}
         return res
 
     def invert_q(self) -> QPoly:
@@ -148,10 +131,9 @@ class QPoly:
         return res
 
     def truncate(self, max_degree: int) -> QPoly:
-        """Drop every term of degree above max_degree (integer degree)."""
-        cut = 4 * max_degree
+        """Drop every term of degree above max_degree."""
         res = QPoly.__new__(QPoly)
-        res.terms = {e: c for e, c in self.terms.items() if e <= cut}
+        res.terms = {e: c for e, c in self.terms.items() if e <= max_degree}
         return res
 
     # -- display / serialization -------------------------------------------
@@ -165,10 +147,7 @@ class QPoly:
             if e == 0:
                 bits.append(str(c))
                 continue
-            if e % 4 == 0:
-                pw = "q" if e == 4 else f"q^{e // 4}"
-            else:
-                pw = f"q^({e}/4)"
+            pw = "q" if e == 1 else f"q^{e}"
             if c == 1:
                 bits.append(pw)
             elif c == -1:
@@ -181,18 +160,12 @@ class QPoly:
         return out
 
     def to_json_dict(self) -> dict[str, str]:
-        """Integer-exponent JSON form: {"exponent": "coefficient"}, ascending.
-
-        Quarter exponents never escape the library; raises if any stored
-        exponent is not divisible by 4.
-        """
-        if not self.has_integer_exponents():
-            raise ValueError("polynomial has fractional exponents; cannot serialize")
-        return {str(e // 4): str(c) for e, c in sorted(self.terms.items())}
+        """JSON form: {"exponent": "coefficient"}, ascending."""
+        return {str(e): str(c) for e, c in sorted(self.terms.items())}
 
     @staticmethod
     def from_json_dict(d: dict[str, str]) -> QPoly:
-        return QPoly({4 * int(e): int(c) for e, c in d.items()})
+        return QPoly({int(e): int(c) for e, c in d.items()})
 
 
 # -- spec-level operation aliases -------------------------------------------
@@ -205,8 +178,8 @@ def mul(p: QPoly, r: QPoly) -> QPoly:
     return p * r
 
 
-def shift(p: QPoly, quarter_exp: int) -> QPoly:
-    return p.shift(quarter_exp)
+def shift(p: QPoly, exp: int) -> QPoly:
+    return p.shift(exp)
 
 
 def invert_q(p: QPoly) -> QPoly:
@@ -230,8 +203,8 @@ def div_exact(num: QPoly, den: QPoly) -> QPoly:
         raise ZeroDivisionError("division by zero polynomial")
     if not num:
         return QPoly()
-    nv = num.min_quarter_exp()
-    dv = den.min_quarter_exp()
+    nv = num.min_exp()
+    dv = den.min_exp()
     d = {e - dv: c for e, c in den.terms.items()}
     dmax = max(d)
     rem = {e - nv: c for e, c in num.terms.items()}
@@ -302,7 +275,7 @@ def gaussian(a: int, b: int) -> QPoly:
     if not 0 <= b <= a:
         return QPoly.zero()
     res = QPoly.__new__(QPoly)
-    res.terms = dict(zip(range(0, 4 * b * (a - b) + 1, 4), _gaussian_coeffs(a, b)))
+    res.terms = dict(enumerate(_gaussian_coeffs(a, b)))
     return res
 
 
@@ -319,9 +292,8 @@ def gaussian_modified(a: int, b: int) -> QPoly:
         return gaussian(a, b)
     res = QPoly.__new__(QPoly)
     sign = -1 if b % 2 else 1
-    low = 4 * (b * (2 * a - b + 1) // 2)
-    res.terms = {low + 4 * e: sign * c
-                 for e, c in enumerate(_gaussian_coeffs(b - a - 1, b))}
+    low = b * (2 * a - b + 1) // 2
+    res.terms = {e: sign * c for e, c in enumerate(_gaussian_coeffs(b - a - 1, b), low)}
     return res
 
 
@@ -365,7 +337,7 @@ def box_partition_oracle(k: int, m: int) -> QPoly:
             gen(parts_left - 1, x, total + x)
 
     gen(k, m, 0)
-    return QPoly({4 * w: c for w, c in counts.items()})
+    return QPoly(counts)
 
 
 def partitions_in_box(k: int, m: int):

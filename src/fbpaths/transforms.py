@@ -296,8 +296,8 @@ def decompose(path: Path, direction: str = "B") -> tuple[Path, int, tuple[int, .
     L = path.L
     mu: list[int] = []
     j = 0
+    _, flags = _score_wings(model, heights, e, f)  # rescored after each height change
     while True:
-        _, flags = _score_wings(model, heights, e, f)
         v = None
         for cand in range(2 * j, L):
             if flags[cand] and flags[cand + 1]:
@@ -309,11 +309,11 @@ def decompose(path: Path, direction: str = "B") -> tuple[Path, int, tuple[int, .
             raise TransformError("path is not in the image of the composite transform")
         moves = 0
         while v > 2 * j:
-            _, flags = _score_wings(model, heights, e, f)
             if flags[v - 1]:
                 v -= 1  # relabel: the pair slides left over a scoring vertex
             else:
                 heights, v = reverse_particle_move(model, heights, e, f, v)
+                _, flags = _score_wings(model, heights, e, f)
                 moves += 1
         mu.append(moves)
         j += 1
@@ -405,7 +405,8 @@ class BijectionReport:
 
 
 def _first_mismatch(lhs: QPoly, rhs: QPoly):
-    """(exponent, lhs coefficient, rhs coefficient) at the lowest difference, or None."""
+    """(exponent, lhs coefficient, rhs coefficient) at the lowest exponent where
+    the two differ, or None when they are equal."""
     if lhs == rhs:
         return None
     exps = sorted(set(lhs.terms) | set(rhs.terms))
@@ -419,6 +420,15 @@ def _first_mismatch(lhs: QPoly, rhs: QPoly):
 def _report(params: dict, lhs: QPoly, rhs: QPoly) -> BijectionReport:
     mm = _first_mismatch(lhs, rhs)
     return BijectionReport(params=params, equal=mm is None, lhs=lhs, rhs=rhs, mismatch=mm)
+
+
+def _times_prefactor(poly: QPoly, quad: int) -> QPoly:
+    """poly * q^(quad/4).  The quadratic form quad need not be divisible by
+    4, but then poly must be zero; RuntimeError otherwise."""
+    exp, frac = divmod(quad, 4)
+    if frac and poly:
+        raise RuntimeError("bijection prefactor has a fractional exponent")
+    return poly.shift(exp)
 
 
 def _check_restriction_set(model: Model, S, a: int, b: int) -> frozenset[int]:
@@ -454,7 +464,7 @@ def verify_b_bijection(p: int, pp: int, a: int, b: int, e: int, f: int,
         piece = chi_tilde(model, a, b, e, f, L=m1, m=m, attain=S)
         if piece:
             rhs = rhs + gaussian((m0 + m) // 2, m1) * piece
-    rhs = rhs.shift((m0 - m1) ** 2 - beta ** 2)
+    rhs = _times_prefactor(rhs, (m0 - m1) ** 2 - beta ** 2)
     params = {"p": p, "pp": pp, "a": a, "b": b, "e": e, "f": f,
               "m0": m0, "m1": m1, "S": sorted(S)}
     return _report(params, lhs, rhs)
@@ -485,7 +495,7 @@ def verify_bd_bijection(p: int, pp: int, a: int, b: int, e: int, f: int,
         piece = chi_tilde(dual, a, b, e, f, L=m1, m=m, attain=S)
         if piece:
             rhs = rhs + gaussian((m0 + m1 - m) // 2, m1) * piece.invert_q()
-    rhs = rhs.shift(m1 ** 2 + (m0 - m1) ** 2 - alpha ** 2 - beta ** 2)
+    rhs = _times_prefactor(rhs, m1 ** 2 + (m0 - m1) ** 2 - alpha ** 2 - beta ** 2)
     params = {"p": p, "pp": pp, "a": a, "b": b, "e": e, "f": f,
               "m0": m0, "m1": m1, "S": sorted(S)}
     return _report(params, lhs, rhs)

@@ -335,13 +335,13 @@ def test_criterion_8_gaussian_oracle():
     for m_ in range(13):
         for n_ in range(13 - m_):
             g = gaussian(m_ + n_, m_)
-            assert invert_q(g) == shift(g, -4 * m_ * n_)
+            assert invert_q(g) == shift(g, -m_ * n_)
             gm = gaussian_modified(m_ + n_, m_)
-            assert invert_q(gm) == shift(gm, -4 * m_ * n_)
+            assert invert_q(gm) == shift(gm, -m_ * n_)
     for a in range(-6, 7):
         for b in range(0, 7):
             gm = gaussian_modified(a, b)
-            assert invert_q(gm) == shift(gm, -4 * b * (a - b))
+            assert invert_q(gm) == shift(gm, -b * (a - b))
     report(8, f"gaussian = box-partition oracle on {n} pairs; inversion laws hold", t0)
 
 

@@ -1,5 +1,6 @@
 """Bosonic and fermionic closed forms, the mn-system, truncated series."""
 
+import dataclasses
 from itertools import product
 
 import pytest
@@ -52,7 +53,7 @@ def test_bosonic_reflection_law():
                 for L in range((a + b) % 2, 9, 2):
                     lhs = bosonic(p, pp, a, b, c, L)
                     dual = bosonic(pp - p, pp, a, b, c, L)
-                    rhs = dual.invert_q().shift(L * L - (b - a) ** 2)
+                    rhs = dual.invert_q().shift((L * L - (b - a) ** 2) // 4)
                     assert lhs == rhs
 
 
@@ -250,10 +251,14 @@ def test_prefer_t_prime_branch():
 
 
 def test_fermionic_exponent_integrality():
-    # exercised by every call; spot-check the assertion path stays silent
-    for L in range(0, 13, 2):
-        poly = fermionic_classical(5, 8, 1, 1, L)
-        assert poly.has_integer_exponents()
+    # gamma + 1 leaves every summand's quadratic form odd, so not a multiple of 4
+    system = build_system(5, 8, 1, 1)
+    broken = dataclasses.replace(system, gamma=system.gamma + 1)
+    for L in range(4, 13, 2):  # both forms have summands from L = 4 on
+        for modified in (False, True):
+            assert fermionic_terms(system, L, modified)
+            with pytest.raises(RuntimeError):
+                fermionic_terms(broken, L, modified)
 
 
 def test_partition_series():
@@ -313,7 +318,20 @@ def test_pruned_walk_equals_leaf_filtered_walk(data):
             prod = QPoly.one()
             for j in range(1, system.t):
                 prod = prod * gauss(m_hat[j] + n[j - 1], m_hat[j])
-            assert term == prod.shift(term.min_quarter_exp())
+            assert term == prod.shift(term.min_exp())
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_bosonic_equals_both_fermionic_forms(data):
+    p, pp = data.draw(st.sampled_from(coprime_pairs(40)), label="(p, pp)")
+    members = takahashi_members(p, pp)
+    a = data.draw(st.sampled_from(members), label="a")
+    b = data.draw(st.sampled_from(members), label="b")
+    L = data.draw(st.integers(0, 15).map(lambda k: 2 * k + (a + b) % 2), label="L")
+    bos = bosonic(p, pp, a, b, c_from_b(p, pp, b), L)
+    assert fermionic_classical(p, pp, a, b, L) == bos
+    assert fermionic_modified(p, pp, a, b, L) == bos
 
 
 def test_three_routes_agree_at_large_L():

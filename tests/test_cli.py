@@ -5,6 +5,8 @@ from pathlib import Path as FsPath
 
 import pytest
 
+import fbpaths.cli as cli
+from fbpaths import Model, QPoly, chi
 from fbpaths.cli import main
 
 FIXTURES = FsPath(__file__).parent / "fixtures"
@@ -130,6 +132,24 @@ def test_verify_identity_exit_zero(capsys):
     assert summary["failures"] == 0 and summary["records"] > 0
 
 
+def test_verify_identity_reports_a_mismatch(capsys, monkeypatch):
+    # a bosonic form wrong by q^k on one tuple must fail the sweep and be named
+    bad, k = (1, 4, 1, 1, 2, 2), 1
+    want = chi(Model(1, 4), 1, 1, 2, 2).coeff(k)
+    bosonic = cli.bosonic
+    monkeypatch.setattr(cli, "bosonic", lambda *args: bosonic(*args) + (
+        QPoly.q_int(k) if args == bad else QPoly.zero()))
+    code, out, _ = run(capsys, "verify", "identity", "--ppmax", "4", "--Lmax", "4")
+    assert code == 1
+    lines = [json.loads(line) for line in out.strip().splitlines()]
+    assert lines[-1]["summary"]["failures"] >= 1
+    rec, = [r for r in lines[:-1]
+            if (r["p"], r["pp"], r["a"], r["b"], r["c"], r["L"]) == bad]
+    assert not rec["equal"]
+    assert rec["mismatch"] == {"forms": ["bosonic", "enumerate"], "exponent": k,
+                               "bosonic": want + 1, "enumerate": want}
+
+
 def test_verify_identity_deterministic_and_parallel(capsys):
     _, out1, _ = run(capsys, "verify", "identity", "--ppmax", "4", "--Lmax", "6")
     _, out2, _ = run(capsys, "verify", "identity", "--ppmax", "4", "--Lmax", "6")
@@ -183,10 +203,3 @@ def test_non_integer_path_json_is_a_usage_error(capsys, tmp_path, field, value):
                          "--input", str(bad))
     assert code == 2 and out == ""
     assert "integer" in err and "Traceback" not in err
-
-
-def test_seed_fixtures(capsys, tmp_path):
-    code, out, _ = run(capsys, "--seed-fixtures", str(tmp_path / "fx"))
-    assert code == 0
-    doc = json.loads((tmp_path / "fx" / "fig1.json").read_text())
-    assert doc["heights"] == [2, 3, 4, 5, 4, 5, 6, 7, 6, 5, 6, 5, 4, 3, 4]

@@ -32,13 +32,12 @@ def test_mul_examples():
     assert mul(ONE + Q, ONE + Q) == ONE + 2 * Q + QPoly.q_int(2)
     p = rand_poly(random.Random(1))
     assert mul(p, ONE) == p
-    assert QPoly.monomial(1, 1) * QPoly.monomial(1, 3) == Q  # q^(1/4) * q^(3/4)
 
 
 def test_shift_examples():
-    assert shift(ONE, 4) == Q
-    assert shift(Q, -4) == ONE
-    assert shift(ONE + Q, 2) == QPoly({2: 1, 6: 1})  # half-integer exponents
+    assert shift(ONE, 1) == Q
+    assert shift(Q, -1) == ONE
+    assert shift(ONE + Q, 2) == QPoly({2: 1, 3: 1})
 
 
 def test_invert_q_examples():
@@ -62,7 +61,7 @@ def test_ring_laws_randomized():
 def test_pochhammer():
     assert pochhammer(1, 0) == ONE
     assert pochhammer(1, 1) == ONE - Q
-    assert pochhammer(1, 2) == QPoly({0: 1, 4: -1, 8: -1, 12: 1})  # (1-q)(1-q^2)
+    assert pochhammer(1, 2) == QPoly({0: 1, 1: -1, 2: -1, 3: 1})  # (1-q)(1-q^2)
 
 
 def test_gaussian_examples():
@@ -85,7 +84,7 @@ def test_gaussian_modified_examples():
 def test_box_partition_oracle_small():
     assert box_partition_oracle(0, 5) == ONE
     assert box_partition_oracle(1, 2) == ONE + Q + QPoly.q_int(2)
-    assert box_partition_oracle(2, 2) == QPoly({0: 1, 4: 1, 8: 2, 12: 1, 16: 1})
+    assert box_partition_oracle(2, 2) == QPoly({0: 1, 1: 1, 2: 2, 3: 1, 4: 1})
 
 
 @pytest.mark.parametrize("a", range(13))
@@ -105,11 +104,11 @@ def test_gaussian_inversion_laws():
     for m in range(7):
         for n in range(7):
             g = gaussian(m + n, m)
-            assert invert_q(g) == shift(g, -4 * m * n)
+            assert invert_q(g) == shift(g, -m * n)
     for a in range(-4, 9):
         for b in range(0, 7):
             g = gaussian_modified(a, b)
-            assert invert_q(g) == shift(g, -4 * b * (a - b))
+            assert invert_q(g) == shift(g, -b * (a - b))
 
 
 def test_gaussian_modified_agrees_on_overlap():
@@ -139,12 +138,12 @@ def test_div_exact_round_trip():
 
 
 def test_json_round_trip_and_integer_exponent_guard():
-    p = gaussian(4, 2).shift(-8)  # Laurent with integer exponents
-    d = p.to_json_dict()
-    assert list(d) == sorted(d, key=int)  # ascending exponent order
-    assert QPoly.from_json_dict(d) == p
-    with pytest.raises(ValueError):
-        QPoly.monomial(1, 2).to_json_dict()  # q^(1/2) must not escape
+    rng = random.Random(3)
+    for p in [gaussian(4, 2).shift(-2)] + [rand_poly(rng) for _ in range(50)]:
+        d = p.to_json_dict()
+        assert list(d) == sorted(d, key=int)  # ascending exponent order
+        assert all(str(int(e)) == e for e in d)  # decimal integer exponents
+        assert QPoly.from_json_dict(d) == p
 
 
 @settings(max_examples=60, deadline=None)
@@ -164,7 +163,7 @@ def test_gaussian_modified_matches_pochhammer_quotient(a, b):
 def test_kronecker_product_matches_sparse_product(factors):
     expected = QPoly.one()
     for coeffs in factors:
-        expected = expected * QPoly({4 * e: c for e, c in enumerate(coeffs)})
+        expected = expected * QPoly(dict(enumerate(coeffs)))
     dense = kronecker_product(factors)
     assert len(dense) == 1 + sum(len(c) - 1 for c in factors)
-    assert QPoly({4 * e: c for e, c in enumerate(dense)}) == expected
+    assert QPoly(dict(enumerate(dense))) == expected

@@ -356,7 +356,7 @@ def test_verify_b_bijection_special_case():
     # m1 = 0 with e != f: a single zigzag on the left side
     rep = verify_b_bijection(1, 3, 1, 1, 0, 1, 5, 0)
     assert rep.equal
-    assert rep.lhs.terms == {4 * (5 * 5 - 1) // 4: 1}
+    assert rep.lhs.terms == {(5 * 5 - 1) // 4: 1}
 
 
 def test_verify_b_bijection_rejects_odd_presegment():
