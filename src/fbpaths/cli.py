@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -313,6 +314,9 @@ def main(argv=None) -> int:
         for f in forms:
             if f not in ALL_FORMS:
                 raise ValueError(f"unknown form {f!r}")
+        cpus = os.cpu_count() or 1
+        if not 1 <= args.jobs <= cpus:
+            raise ValueError(f"--jobs must lie in 1..{cpus}")
         if args.output:
             with open(args.output, "w") as fh:
                 return run_verify_identity(args.ppmax, args.Lmax, args.jobs, forms, fh)

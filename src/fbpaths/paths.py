@@ -8,6 +8,10 @@ boundary conventions exist: a post-segment endpoint c (so the final vertex
 is classified against the band between b and c), or wings (e, f) fixing the
 directions of a pre-segment and post-segment, under which the final vertex
 scores exactly when it is a peak.
+
+A vertex's weight depends only on i, h_i - h_0 and its two directions, so
+chi and chi_tilde come from a transfer-matrix recurrence over (height,
+incoming direction), not from enumerating the paths.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .model import Model
-from .qpoly import QPoly
+from .qpoly import QPoly, unpack
 
 STRAIGHT_UP = "straight-up"
 STRAIGHT_DOWN = "straight-down"
@@ -298,7 +302,7 @@ def beta_closed_form(model: Model, a: int, b: int, e: int, f: int) -> int:
     return model.floor_mult(b) - model.floor_mult(a) + f - e
 
 
-# -- enumeration -------------------------------------------------------------
+# -- enumeration: the paths themselves, one by one ----------------------------
 
 def iter_height_seqs(model: Model, a: int, b: int, L: int):
     """Yield every height tuple h_0..h_L from a to b (depth-first, pruned)."""
@@ -336,55 +340,87 @@ def enumerate_paths(model: Model, a: int, b: int, boundary: PostSeg | Wings,
                     L: int, required=None) -> list[Path]:
     """All paths with the given endpoints/boundary; with `required`, only those
     attaining every height in the set.  Impossible parity gives an empty list."""
-    req = frozenset(required) if required else None
-    out = []
-    for hs in iter_height_seqs(model, a, b, L):
-        if req and not req.issubset(hs):
-            continue
-        out.append(Path(model, hs, boundary))
-    return out
+    req = frozenset(required or ())
+    return [Path(model, hs, boundary) for hs in iter_height_seqs(model, a, b, L)
+            if req.issubset(hs)]
 
 
-# -- generating functions ----------------------------------------------------
+# -- generating functions: a transfer-matrix recurrence over the vertices -----
+
+@lru_cache(maxsize=None)
+def _vertex_moves(model: Model) -> dict[tuple[int, bool, bool], tuple]:
+    """moves[h, in_up, wing]: (out_up, next height, scoring) both ways out of
+    height h, scoring as _score flags the one-vertex sequence (h,)."""
+    par = _parity_table(model)
+    return {(h, i, w): tuple((o, h + 1 if o else h - 1, _score(par, (h,), i, o, w)[1][0])
+                             for o in (False, True))
+            for h in range(1, model.pp) for i in (False, True) for w in (False, True)}
+
+
+def _transfer(model: Model, a: int, b: int, L: int, boundary: PostSeg | Wings,
+              attain: frozenset[int], by_m: bool = False) -> dict[int, QPoly]:
+    """Generating functions of the paths a -> b attaining all of `attain`,
+    keyed by the non-scoring count m (all under 0 unless by_m).
+
+    A recurrence over the vertices i = 0..L on the states (h_i, direction
+    into vertex i, bitmask of the `attain` heights met before, m so far),
+    each packing its polynomial into one int, coefficient j at byte offset
+    j * width: no count exceeds the 2^L paths, so L + 1 bits never carry.
+    A scoring vertex shifts it by the vertex's coordinate (see _score).
+    """
+    pp = model.pp
+    if not (0 < a < pp and 0 < b < pp) or L < 0 or (L + a - b) % 2 or abs(b - a) > L:
+        return {}
+    first_up, last_up, wing = _ends(boundary, b)
+    moves = _vertex_moves(model)
+    width = L // 8 + 1
+    bits = 8 * width
+    bit = {s: 1 << k for k, s in enumerate(sorted(attain))}
+    states = {(a, first_up, 0, 0): 1}
+    for i in range(L + 1):
+        if i < L:  # the heights from which b is still reachable
+            lo, hi = max(1, b - L + i + 1), min(pp - 1, b + L - i - 1)
+        else:  # vertex L steps out to b + 1 or b - 1, as its boundary says
+            lo = hi = b + 1 if last_up else b - 1
+        nxt: dict[tuple[int, bool, int, int], int] = {}
+        for (h, in_up, mask, m), packed in states.items():
+            mask |= bit.get(h, 0)
+            for up, nh, scoring in moves[h, in_up, wing and i == L]:
+                if lo <= nh <= hi:
+                    if scoring:
+                        key = (nh, up, mask, m)
+                        val = packed << bits * ((i - h + a) // 2 if in_up else (i + h - a) // 2)
+                    else:
+                        key, val = (nh, up, mask, m + by_m), packed
+                    nxt[key] = nxt.get(key, 0) + val
+        states = nxt
+    return {m: QPoly(dict(enumerate(unpack(packed, width, -(-packed.bit_length() // bits)))))
+            for (_, _, mask, m), packed in states.items() if mask == (1 << len(bit)) - 1}
+
 
 def chi(model: Model, a: int, b: int, c: int, L: int, attain=None) -> QPoly:
-    """Sum of q^wt(h) over post-segment paths a -> b with endpoint c."""
-    if abs(c - b) != 1 or not 1 <= c <= model.pp - 1:
-        raise ValueError(f"need c = b +- 1 within the grid, got b={b}, c={c}")
-    par = _parity_table(model)
-    in_up, out_up, wing = _ends(PostSeg(c), b)
-    req = frozenset(attain) if attain else None
-    counts: dict[int, int] = {}
-    for hs in iter_height_seqs(model, a, b, L):
-        if req and not req.issubset(hs):
-            continue
-        w, _ = _score(par, hs, in_up, out_up, wing)
-        counts[w] = counts.get(w, 0) + 1
-    return QPoly(counts)
+    """Sum of q^wt(h) over post-segment paths a -> b with endpoint c, or
+    over those attaining every height of `attain`."""
+    req = frozenset(attain or ())
+    if not all(0 < h < model.pp for h in (a, b, c)):
+        raise ValueError("heights a, b, c must lie in 1..p'-1")
+    if not all(0 < s < model.pp for s in req):
+        raise ValueError(f"attained heights {sorted(req)} must lie in 1..p'-1")
+    if abs(c - b) != 1:
+        raise ValueError(f"need c = b +- 1, got b={b}, c={c}")
+    return _transfer(model, a, b, L, PostSeg(c), req).get(0, QPoly.zero())
 
 
 @lru_cache(maxsize=None)
 def _chi_tilde_by_m(p: int, pp: int, a: int, b: int, e: int, f: int, L: int,
-                    attain: frozenset[int] | None = None) -> dict[int, QPoly]:
-    model = Model(p, pp)
-    par = _parity_table(model)
-    in_up, out_up, wing = _ends(Wings(e, f), b)
-    acc: dict[int, dict[int, int]] = {}
-    for hs in iter_height_seqs(model, a, b, L):
-        if attain and not attain.issubset(hs):
-            continue
-        w, flags = _score(par, hs, in_up, out_up, wing)
-        m = flags.count(False)
-        acc.setdefault(m, {})
-        acc[m][w] = acc[m].get(w, 0) + 1
-    return {m: QPoly(cs) for m, cs in acc.items()}
+                    attain: frozenset[int]) -> dict[int, QPoly]:
+    return _transfer(Model(p, pp), a, b, L, Wings(e, f), attain, by_m=True)
 
 
 def chi_tilde_by_m(model: Model, a: int, b: int, e: int, f: int, L: int,
                    attain=None) -> dict[int, QPoly]:
     """Winged generating functions split by the non-scoring count m."""
-    req = frozenset(attain) if attain else None
-    return _chi_tilde_by_m(model.p, model.pp, a, b, e, f, L, req)
+    return _chi_tilde_by_m(model.p, model.pp, a, b, e, f, L, frozenset(attain or ()))
 
 
 def chi_tilde(model: Model, a: int, b: int, e: int, f: int, L: int,
@@ -393,10 +429,7 @@ def chi_tilde(model: Model, a: int, b: int, e: int, f: int, L: int,
     table = chi_tilde_by_m(model, a, b, e, f, L, attain=attain)
     if m is not None:
         return table.get(m, QPoly.zero())
-    out = QPoly.zero()
-    for poly in table.values():
-        out = out + poly
-    return out
+    return sum(table.values(), QPoly.zero())
 
 
 def chi_tilde_restricted(model: Model, a: int, b: int, e: int, f: int, L: int,

@@ -9,7 +9,6 @@ their prefactors, so no other code sees a fractional exponent.
 
 from __future__ import annotations
 
-import sys
 from functools import lru_cache
 from itertools import accumulate
 
@@ -311,13 +310,16 @@ def kronecker_product(factors) -> list[int]:
     for coeffs in factors:
         bound *= max(1, sum(coeffs))
     width = (bound.bit_length() + 7) // 8
-    order = sys.byteorder
     acc = 1
     for coeffs in factors:
-        acc *= int.from_bytes(b"".join(c.to_bytes(width, order) for c in coeffs), order)
-    deg = sum(len(coeffs) - 1 for coeffs in factors)
-    raw = acc.to_bytes(width * (deg + 1), order)
-    return [int.from_bytes(raw[i:i + width], order) for i in range(0, len(raw), width)]
+        acc *= int.from_bytes(b"".join(c.to_bytes(width, "little") for c in coeffs), "little")
+    return unpack(acc, width, sum(len(coeffs) - 1 for coeffs in factors) + 1)
+
+
+def unpack(packed: int, width: int, n: int) -> list[int]:
+    """The n coefficients of width bytes each packed into an int, low first."""
+    raw = packed.to_bytes(width * n, "little")
+    return [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
 
 
 def box_partition_oracle(k: int, m: int) -> QPoly:

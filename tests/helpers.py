@@ -4,8 +4,9 @@ from itertools import product
 
 from hypothesis import strategies as st
 
-from fbpaths import Model, Path, TransformError, Wings, iter_height_seqs
+from fbpaths import Model, Path, QPoly, TransformError, Wings, iter_height_seqs
 from fbpaths.model import coprime_pairs
+from fbpaths.paths import _ends, _parity_table, _score
 from fbpaths.transforms import _score_wings
 
 
@@ -21,6 +22,39 @@ def winged_paths(p, pp, lmax, require_delta_a=False, require_delta_b=False):
             for L in range((a + b) % 2, lmax + 1, 2):
                 for hs in iter_height_seqs(model, a, b, L):
                     yield Path(model, hs, Wings(e, f))
+
+
+def enumeration_tallies(model, a, b, L, boundaries, heights=()):
+    """Oracle for the generating functions of fbpaths.paths: score every path
+    a -> b one by one under each boundary.  Maps (boundary, m, met) to
+    {weight: path count}, where m counts the non-scoring vertices and met is
+    the set of `heights` the path attains."""
+    par = _parity_table(model)
+    ends = [(bd, _ends(bd, b)) for bd in boundaries]
+    heights = frozenset(heights)
+    acc = {}
+    for hs in iter_height_seqs(model, a, b, L):
+        met = heights.intersection(hs)
+        for bd, (in_up, out_up, wing) in ends:
+            w, flags = _score(par, hs, in_up, out_up, wing)
+            counts = acc.setdefault((bd, flags.count(False), met), {})
+            counts[w] = counts.get(w, 0) + 1
+    return acc
+
+
+def tallied_by_m(tallies, boundary, attain=()):
+    """{m: generating function} of the tallied paths under `boundary` that
+    attain every height of `attain` (compare chi_tilde_by_m)."""
+    out = {}
+    for (bd, m, met), counts in tallies.items():
+        if bd == boundary and met.issuperset(attain):
+            out[m] = out.get(m, QPoly.zero()) + QPoly(counts)
+    return out
+
+
+def tallied(tallies, boundary, attain=()):
+    """The generating function over every m (compare chi and chi_tilde)."""
+    return sum(tallied_by_m(tallies, boundary, attain).values(), QPoly.zero())
 
 
 def random_winged_walk(data, ppmax, max_steps):

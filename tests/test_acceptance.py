@@ -358,3 +358,16 @@ def test_criterion_9_limit_stabilization():
             series = rocha_caridi_truncated(p, pp, r, a, N)
             assert lo == hi == series, (p, pp, L)
     report(9, "finitized characters stabilize onto the truncated series", t0)
+
+
+def test_limit_stabilization_at_large_L():
+    # criterion 9 at L = 61, 63, out of reach of enumerating path by path
+    for p, pp in [(2, 5), (3, 5), (3, 7)]:
+        a, b, c = 1, 2, 1
+        r = groundstate_label(p, pp, b, c)
+        m = Model(p, pp)
+        for L in (61, 63):
+            N = L // 4
+            lo = chi(m, a, b, c, L).truncate(N)
+            hi = chi(m, a, b, c, L + 2).truncate(N)
+            assert lo == hi == rocha_caridi_truncated(p, pp, r, a, N), (p, pp, L)

@@ -1,6 +1,8 @@
 """CLI contract: subcommands, JSON I/O, exit codes, determinism."""
 
 import json
+import multiprocessing
+import os
 from pathlib import Path as FsPath
 
 import pytest
@@ -8,6 +10,7 @@ import pytest
 import fbpaths.cli as cli
 from fbpaths import Model, QPoly, chi
 from fbpaths.cli import main
+from helpers import step_count
 
 FIXTURES = FsPath(__file__).parent / "fixtures"
 
@@ -50,6 +53,32 @@ def test_chi_enumerate_winged_with_restriction(capsys):
                        "--L", "6", "--with-heights", "6")
     assert code == 0
     json.loads(out)
+
+
+def test_chi_enumerate_at_large_L_equals_bosonic(capsys):
+    args = ("--p", "3", "--pp", "8", "--a", "1", "--b", "2", "--L", "121")
+    code, out, _ = run(capsys, "chi", "enumerate", *args)
+    assert code == 0
+    code, bos, _ = run(capsys, "chi", "bosonic", *args)
+    assert code == 0 and out == bos
+    assert sum(int(c) for c in json.loads(out).values()) == step_count(8, 1, 2, 121)
+
+
+@pytest.mark.parametrize("heights", [("--a", "0", "--b", "2"), ("--a", "1", "--b", "8"),
+                                     ("--a", "1", "--b", "2", "--with-heights", "9"),
+                                     ("--a", "1", "--b", "2", "--with-heights", "3,0")])
+def test_chi_enumerate_heights_outside_the_grid(capsys, heights):
+    code, out, err = run(capsys, "chi", "enumerate", "--p", "3", "--pp", "8",
+                         "--L", "5", *heights)
+    assert code == 2 and out == ""
+    assert "1..p'-1" in err and "Traceback" not in err
+
+
+def test_chi_enumerate_impossible_tuples_are_zero(capsys):
+    for L in ("4", "-1"):  # wrong parity, negative length
+        code, out, _ = run(capsys, "chi", "enumerate", "--p", "3", "--pp", "8",
+                           "--a", "1", "--b", "2", "--L", L)
+        assert code == 0 and out.strip() == "{}"
 
 
 def test_model_show_golden(capsys):
@@ -158,6 +187,17 @@ def test_verify_identity_deterministic_and_parallel(capsys):
     _, out3, _ = run(capsys, "verify", "identity", "--ppmax", "4", "--Lmax", "6",
                      "--jobs", "2")
     assert strip(out1) == strip(out3)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-5", str((os.cpu_count() or 1) + 1), "1000000"])
+def test_verify_jobs_outside_the_cpu_count(capsys, monkeypatch, jobs):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    code, out, err = run(capsys, "verify", "identity", "--ppmax", "4", "--Lmax", "2",
+                         "--jobs", jobs)
+    assert code == 2 and out == ""
+    assert "--jobs" in err and "Traceback" not in err
 
 
 def test_usage_errors(capsys, tmp_path):

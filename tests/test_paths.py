@@ -15,7 +15,10 @@ from fbpaths import (
     weight_from_striking, weight_wt, weight_wtilde, wings_path,
 )
 from fbpaths.paths import beta_closed_form
-from helpers import coprime_pairs, random_winged_walk, winged_paths
+from helpers import (
+    coprime_pairs, enumeration_tallies, random_winged_walk, step_count, tallied,
+    tallied_by_m, winged_paths,
+)
 
 FIXTURES = FsPath(__file__).parent / "fixtures"
 
@@ -265,6 +268,68 @@ def test_chi_tilde_restricted():
     assert chi_tilde_restricted(m, 2, 4, 0, 1, 2, S={6}) == QPoly.zero()
     with pytest.raises(ValueError):
         chi_tilde_restricted(m, 2, 4, 0, 1, 6, S={4})  # 4 is not interfacial
+
+
+def test_transfer_equals_enumeration_on_the_sweep_grid():
+    # the identity-sweep grid, p' <= 8 and L <= 12: every a, b, c and wing
+    # pair, unrestricted and restricted to each single interfacial height
+    wings = [Wings(e, f) for e, f in product((0, 1), repeat=2)]
+    for p, pp in coprime_pairs(8):
+        model = Model(p, pp)
+        S = model.interfacial_heights()
+        for a, b in product(range(1, pp), repeat=2):
+            posts = [PostSeg(c) for c in (b - 1, b + 1) if 1 <= c <= pp - 1]
+            for L in range((a + b) % 2, 13, 2):
+                tallies = enumeration_tallies(model, a, b, L, posts + wings, S)
+                for attain in [(), *((s,) for s in S)]:
+                    where = (p, pp, a, b, L, attain)
+                    for bd in posts:
+                        assert chi(model, a, b, bd.c, L, attain=attain) == \
+                            tallied(tallies, bd, attain), (where, bd)
+                    for bd in wings:
+                        assert chi_tilde_by_m(model, a, b, bd.e, bd.f, L, attain=attain) == \
+                            tallied_by_m(tallies, bd, attain), (where, bd)
+
+
+LEAF_BUDGET = 3000  # paths the enumeration oracle scores per example
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_transfer_equals_enumeration_property(data):
+    # beyond the sweep grid: p' <= 40, L <= 20, random wings and attain sets
+    p, pp = data.draw(st.sampled_from(coprime_pairs(40)), label="(p, pp)")
+    model = Model(p, pp)
+    a = data.draw(st.integers(1, pp - 1), label="a")
+    b = data.draw(st.integers(1, pp - 1), label="b")
+    par = (a + b) % 2
+    L = data.draw(st.integers(0, (20 - par) // 2).map(lambda k: 2 * k + par), label="L")
+    # the oracle scores every path: lower L by 2 until that fits
+    while step_count(pp, a, b, L) > LEAF_BUDGET:
+        L -= 2
+    S = model.interfacial_heights()
+    attain = data.draw(st.sets(st.sampled_from(S), max_size=3) if S else st.just(set()),
+                       label="attain")
+    c = data.draw(st.sampled_from([c for c in (b - 1, b + 1) if 1 <= c <= pp - 1]), label="c")
+    e, f = data.draw(st.integers(0, 1), label="e"), data.draw(st.integers(0, 1), label="f")
+    post, wing = PostSeg(c), Wings(e, f)
+    tallies = enumeration_tallies(model, a, b, L, [post, wing], attain)
+    assert chi(model, a, b, c, L, attain=attain) == tallied(tallies, post, attain)
+    by_m = tallied_by_m(tallies, wing, attain)
+    assert chi_tilde_by_m(model, a, b, e, f, L, attain=attain) == by_m
+    for m in range(L + 2):
+        assert chi_tilde(model, a, b, e, f, L, m=m, attain=attain) == \
+            by_m.get(m, QPoly.zero())
+
+
+def test_chi_rejects_heights_outside_the_grid():
+    m = Model(3, 8)
+    for a, b, c, attain in [(0, 2, 1, None), (2, 8, 7, None), (2, 4, 3, {9}),
+                            (2, 4, 3, {0})]:
+        with pytest.raises(ValueError, match="1..p'-1"):
+            chi(m, a, b, c, 6, attain=attain)
+    # parity-impossible tuples and L < 0 stay zero, as in the bosonic form
+    assert chi(m, 2, 3, 4, 4) == chi(m, 2, 2, 3, -2) == QPoly.zero()
 
 
 def test_path_json_round_trip():
