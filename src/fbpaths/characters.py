@@ -82,8 +82,10 @@ def c_from_b_info(p: int, pp: int, b: int) -> tuple[int, bool]:
 
     Small b (within the first zone) pairs with b-1, mirrored at the top; in
     between, b is interfacial and either choice gives the same polynomial
-    (we pick b+1).
+    (we pick b+1).  The one-height (1,2) grid has no post-segment endpoint.
     """
+    if pp == 2:
+        raise ValueError("the one-height grid of (1,2) has no post-segment endpoint c")
     tak = continued_fraction(p, pp)
     thr = tak.t_bounds[1] if pp > 2 * p else tak.t_bounds[2]
     if b == 1:
@@ -123,14 +125,13 @@ class FermionicSystem:
     kind_R: str
     sigma_L: int
     sigma_R: int
-    k_L: int
-    k_R: int
     u_L: tuple[int, ...]        # components 1..t at index j-1
     u_R: tuple[int, ...]
     delta_L: tuple[int, ...]
     delta_R: tuple[int, ...]
-    C: tuple[tuple[int, ...], ...]       # t x t, rows and columns 0..t-1
-    C_hat: tuple[tuple[int, ...], ...]   # rows 1..t (stored 0-based), columns 0..t-1
+    # (mid, hi) of rows i = 0..t of C extended by one row: row i reads
+    # -m_{i-1} + mid*m_i + hi*m_{i+1}, with (1, 1) at a zone boundary
+    band: tuple[tuple[int, int], ...]
     Q: tuple[int, ...]          # Q_0..Q_{t-1} for u = u_L + u_R
     trace: GammaTrace
     gamma: int
@@ -139,75 +140,42 @@ class FermionicSystem:
     def t(self) -> int:
         return self.tak.t
 
+    def _rows(self, first: int) -> tuple[tuple[int, ...], ...]:
+        t = self.t
+        return tuple(tuple({i - 1: -1, i: mid, i + 1: hi}.get(j, 0) for j in range(t))
+                     for i, (mid, hi) in enumerate(self.band[first:first + t], first))
 
-def _takahashi_vectors(tak: TakahashiData, kind: str, sigma: int):
-    # e_0 is the zero vector (components run 1..t), so index-0 hits drop out
-    t = tak.t
-    boundaries = [tak.t_bounds[k] for k in range(1, tak.n + 1)]
-    u = [0] * t
-    delta = [0] * t
-    if sigma >= 1:
-        u[sigma - 1] += 1
-    for tk in boundaries:
-        if tk >= 1 and sigma <= tk < t:
-            u[tk - 1] -= 1
-    if kind == "T":
-        if sigma >= 1:
-            delta[sigma - 1] -= 1
-        for tk in boundaries:
-            if tk >= 1 and sigma <= tk < t:
-                delta[tk - 1] += 1
-    else:
-        u[t - 1] += 1
-        delta[t - 1] -= 1
-        if sigma >= 1:
-            delta[sigma - 1] += 1
-        for tk in boundaries:
-            if tk >= 1 and sigma <= tk < t:
-                delta[tk - 1] -= 1
-    return tuple(u), tuple(delta)
+    @property
+    def C(self) -> tuple[tuple[int, ...], ...]:
+        """Dense t x t matrix C: band rows 0..t-1, columns 0..t-1."""
+        return self._rows(0)
+
+    @property
+    def C_hat(self) -> tuple[tuple[int, ...], ...]:
+        """Dense t x t matrix: band rows 1..t (stored 0-based), columns 0..t-1."""
+        return self._rows(1)
 
 
-def _c_matrices(tak: TakahashiData):
-    t = tak.t
-    boundary = {tak.t_bounds[k] for k in range(1, tak.n + 1)}
+def _takahashi_vectors(t: int, boundaries: set[int], kind: str, sigma: int):
+    """(u, delta), components 1..t, of a height with Takahashi index sigma.
 
-    def row(i: int) -> tuple[int, ...]:
-        r = [0] * t
-        if i in boundary:
-            vals = {i - 1: -1, i: 1, i + 1: 1}
-        else:
-            vals = {i - 1: -1, i: 2, i + 1: -1}
-        for j, v in vals.items():
-            if 0 <= j <= t - 1:
-                r[j] = v
-        return tuple(r)
-
-    C = tuple(row(i) for i in range(t))
-    C_hat = tuple(row(i) for i in range(1, t + 1))
-    return C, C_hat
-
-
-def _solve_parity(C_hat, u: tuple[int, ...]) -> tuple[int, ...]:
-    """Integer back-substitution for C_hat x = u, reduced mod 2.
-
-    Row i of C_hat (equation i = 1..t) has its lowest column at i-1 with
-    entry -1, so x fills in from the top equation downward.
+    With base = e_sigma - (sum of e_{t_k} over the zone boundaries
+    t_k >= sigma) and e_0 the zero vector, T gives (base, -base) and T'
+    gives (base + e_t, base - e_t).
     """
-    t = len(u)
-    x = [0] * t
-    for i in range(t, 0, -1):
-        s = u[i - 1]
-        row = C_hat[i - 1]
-        for j in range(i, t):
-            s -= row[j] * x[j]
-        x[i - 1] = -s  # coefficient of x_{i-1} is -1
-    return tuple(v % 2 for v in x)
+    base = [0] * (t + 1)  # index 0 holds e_0 and is cut off
+    base[sigma] += 1
+    for tk in boundaries:
+        if tk >= sigma:
+            base[tk] -= 1
+    if kind == "T":
+        return tuple(base[1:]), tuple(-v for v in base[1:])
+    head = tuple(base[1:t])  # component t of base is 0: sigma and every t_k lie below t
+    return head + (1,), head + (-1,)
 
 
-def _gamma_iteration(tak: TakahashiData, delta_L, delta_R) -> GammaTrace:
-    t = tak.t
-    boundary = {tak.t_bounds[k] for k in range(1, tak.n + 1)}
+def _gamma_iteration(band, delta_L, delta_R) -> GammaTrace:
+    t = len(band) - 1
     alpha = [0] * (t + 1)
     beta = [0] * (t + 1)
     gamma = [0] * (t + 1)
@@ -222,7 +190,7 @@ def _gamma_iteration(tak: TakahashiData, delta_L, delta_R) -> GammaTrace:
         beta_p[j - 1] = bp
         alpha_dd[j - 1] = add
         gamma_dd[j - 1] = gdd
-        if (j - 1) in boundary:
+        if band[j - 1] == (1, 1):  # j - 1 is a zone boundary
             alpha[j - 1], beta[j - 1], gamma[j - 1] = add, add - bp, -add * add - gdd
         else:
             alpha[j - 1], beta[j - 1], gamma[j - 1] = add, bp, gdd
@@ -240,19 +208,23 @@ def build_system(p: int, pp: int, a: int, b: int,
     if kind_L is None or kind_R is None:
         bad = a if kind_L is None else b
         raise ValueError(f"height {bad} is not a Takahashi length (or complement) in ({p},{pp})")
-    u_L, delta_L = _takahashi_vectors(tak, kind_L, sigma_L)
-    u_R, delta_R = _takahashi_vectors(tak, kind_R, sigma_R)
-    C, C_hat = _c_matrices(tak)
-    u_sum = tuple(x + y for x, y in zip(u_L, u_R))
-    Q = _solve_parity(C_hat, u_sum)
-    trace = _gamma_iteration(tak, delta_L, delta_R)
+    t = tak.t
+    boundaries = set(tak.t_bounds[1:tak.n + 1])
+    band = tuple((1, 1) if i in boundaries else (2, -1) for i in range(t + 1))
+    u_L, delta_L = _takahashi_vectors(t, boundaries, kind_L, sigma_L)
+    u_R, delta_R = _takahashi_vectors(t, boundaries, kind_R, sigma_R)
+    # Q = x mod 2 for the rows 1..t of the band, -x_{i-1} + mid*x_i + hi*x_{i+1}
+    # = u_i with x_t = x_{t+1} = 0, solved from the last row up
+    x = [0] * (t + 2)
+    for i in range(t, 0, -1):
+        mid, hi = band[i]
+        x[i - 1] = (mid * x[i] + hi * x[i + 1] - u_L[i - 1] - u_R[i - 1]) % 2
+    trace = _gamma_iteration(band, delta_L, delta_R)
     return FermionicSystem(
         tak=tak, a=a, b=b, kind_L=kind_L, kind_R=kind_R,
         sigma_L=sigma_L, sigma_R=sigma_R,
-        k_L=tak.zone_of(sigma_L) if sigma_L > tak.t_bounds[0] else 0,
-        k_R=tak.zone_of(sigma_R) if sigma_R > tak.t_bounds[0] else 0,
         u_L=u_L, u_R=u_R, delta_L=delta_L, delta_R=delta_R,
-        C=C, C_hat=C_hat, Q=Q, trace=trace, gamma=trace.gamma[0],
+        band=band, Q=tuple(x[:t]), trace=trace, gamma=trace.gamma[0],
     )
 
 
@@ -283,12 +255,13 @@ class MnSolution:
 
 def _iter_admissible_m(system: FermionicSystem, L: int, annihilate: bool = False):
     """Yield (m_hat, n) with m_hat = (L, m_1, ..., m_{t-1}) and
-    n = (u - C_hat m_hat)/2 for every summand the constant-sign sums keep.
+    n_j = (u_j + m_{j-1} - mid*m_j - hi*m_{j+1})/2 from band row j = 1..t
+    (rows 1..t of C-hat) for every summand the constant-sign sums keep.
 
     m_hat runs over the right parities and the support bound
     m_{i+1} <= m_i + 1 (terms beyond it sum to zero), in depth-first order.
-    Row j of C_hat touches only m_{j-1}, m_j, m_{j+1}, so n_j is fixed as
-    soon as m_{j+1} is chosen (m_t = 0 closes the last rows), and the walk
+    n_j is fixed as soon as m_{j+1} is chosen (m_t = 0 closes the last
+    rows), and the walk
     cuts the subtree there when n_j < 0 -- unless ``annihilate`` is set and
     m_j = 0, where the modified form keeps [n_j over 0]' = 1.  Raises
     ValueError if a particle count is not an integer (parity mismatch).
@@ -298,15 +271,13 @@ def _iter_admissible_m(system: FermionicSystem, L: int, annihilate: bool = False
     if L % 2 != Q[0]:
         return
     u = [x + y for x, y in zip(system.u_L, system.u_R)]
-    # (C_hat m_hat)_j = lo*m_{j-1} + mid*m_j + hi*m_{j+1}
-    band = [(row[j - 1], row[j] if j < t else 0, row[j + 1] if j + 1 < t else 0)
-            for j, row in enumerate(system.C_hat, 1)]
+    band = system.band
     m = [L] + [0] * (t + 1)  # the walk sets m_1..m_{t-1}; m_t, m_{t+1} stay 0
     n = [0] * t
 
     def close(j: int) -> bool:
-        lo, mid, hi = band[j - 1]
-        v = u[j - 1] - lo * m[j - 1] - mid * m[j] - hi * m[j + 1]
+        mid, hi = band[j]
+        v = u[j - 1] + m[j - 1] - mid * m[j] - hi * m[j + 1]
         if v % 2:
             raise ValueError("non-integral particle count: parity mismatch")
         n[j - 1] = v // 2
@@ -331,15 +302,12 @@ def _exponent(system: FermionicSystem, m_hat: tuple[int, ...], w: list[int]) -> 
 
     Raises RuntimeError if the quadratic form is not divisible by 4.
     """
-    t = system.t
-    C = system.C
-    quad = 0
-    for i in range(t):
-        mi = m_hat[i]
-        if mi:
-            row = C[i]
-            quad += mi * sum(row[j] * m_hat[j] for j in range(t) if row[j])
-    lin = sum(w[j - 1] * m_hat[j] for j in range(1, t))
+    # band row i of C gives mid*m_i^2 + hi*m_i*m_{i+1} - m_i*m_{i-1}, so each
+    # neighbour pair (i, i+1) carries hi_i - 1
+    band = system.band
+    quad = sum(mid * mi * mi for (mid, _), mi in zip(band, m_hat))
+    quad += sum((hi - 1) * mi * mj for (_, hi), mi, mj in zip(band, m_hat, m_hat[1:]))
+    lin = sum(w[j - 1] * m_hat[j] for j in range(1, system.t))
     exp, frac = divmod(quad - m_hat[0] ** 2 - 2 * lin + system.gamma, 4)
     if frac:
         raise RuntimeError(f"fermionic summand {m_hat} has a fractional exponent")

@@ -28,10 +28,6 @@ class Model:
         if gcd(self.p, self.pp) != 1:
             raise ValueError(f"p and p' must be coprime, got ({self.p}, {self.pp})")
 
-    @property
-    def num_bands(self) -> int:
-        return self.pp - 2
-
     def floor_mult(self, a: int) -> int:
         """floor(a p / p')."""
         return a * self.p // self.pp

@@ -80,9 +80,6 @@ class Path:
     def L(self) -> int:
         return len(self.heights) - 1
 
-    def attains(self, s: int) -> bool:
-        return s in self.heights
-
 
 def wings_path(p: int, pp: int, heights, e: int, f: int) -> Path:
     return Path(Model(p, pp), tuple(heights), Wings(e, f))
@@ -204,25 +201,18 @@ def striking_sequence(path: Path) -> StrikingSequence:
         raise ValueError("striking sequences are defined for winged paths")
     e, f = path.boundary.e, path.boundary.f
     hs = path.heights
-    L = path.L
-    if L == 0:
+    if path.L == 0:
         return StrikingSequence((), e, f, f)  # direction convention h_1 = h_0 + (-1)^f
-    d = 0 if hs[1] > hs[0] else 1
     _, scoring = _path_score(path)
-    cols = []
-    start = 0  # first segment index of the current line
-    i = 1
-    while i <= L:
-        j = i
-        while j < L and (hs[j + 1] - hs[j]) == (hs[i] - hs[i - 1]):
-            j += 1
-        # line covers segments start..j-1, i.e. vertices start+1..j
-        b_count = sum(1 for v in range(start + 1, j + 1) if scoring[v])
-        w = j - start
-        cols.append((w - b_count, b_count))
-        start = j
-        i = j + 1
-    return StrikingSequence(tuple(cols), e, f, d)
+    cols: list[list[int]] = []
+    step = 0
+    for v in range(1, len(hs)):
+        # vertex v ends the segment into it, so it joins that segment's line
+        if hs[v] - hs[v - 1] != step:
+            step = hs[v] - hs[v - 1]
+            cols.append([0, 0])
+        cols[-1][scoring[v]] += 1
+    return StrikingSequence(tuple(map(tuple, cols)), e, f, 0 if hs[1] > hs[0] else 1)
 
 
 def weight_from_striking(ss: StrikingSequence) -> int:
@@ -278,23 +268,17 @@ def path_stats(path: Path) -> PathStats:
     if path.L == 0:
         return PathStats(m=abs(f - e), alpha=0, beta=f - e, pi=pi, d=f)
     ss = striking_sequence(path)
-    d = ss.d
-    sgn = 1 if d == 0 else -1
-    w = ss.widths
-    bs = tuple(b for _, b in ss.columns)
-    alt_w = sum(w[0::2]) - sum(w[1::2])
-    alt_b = sum(bs[0::2]) - sum(bs[1::2])
-    m = (e + d + pi) % 2 + sum(a for a, _ in ss.columns)
-    alpha = sgn * alt_w
-    if (e + d + pi) % 2 == 0:
-        beta = sgn * alt_b
-    else:
-        beta = sgn * alt_b + (1 if e == 0 else -1)
-    return PathStats(m=m, alpha=alpha, beta=beta, pi=pi, d=d)
-
-
-def alpha_ab(a: int, b: int) -> int:
-    return b - a
+    odd = (e + ss.d + pi) % 2
+    m, alpha, beta = odd, 0, 0
+    sign = 1 if ss.d == 0 else -1  # the lines alternate NE and SE
+    for a_i, b_i in ss.columns:
+        m += a_i
+        alpha += sign * (a_i + b_i)
+        beta += sign * b_i
+        sign = -sign
+    if odd:
+        beta += 1 if e == 0 else -1
+    return PathStats(m=m, alpha=alpha, beta=beta, pi=pi, d=ss.d)
 
 
 def beta_closed_form(model: Model, a: int, b: int, e: int, f: int) -> int:
@@ -324,16 +308,6 @@ def iter_height_seqs(model: Model, a: int, b: int, L: int):
                 yield from rec(i + 1, nh)
 
     yield from rec(0, a)
-
-
-@lru_cache(maxsize=None)
-def count_paths(p: int, pp: int, a: int, b: int, L: int) -> int:
-    """Independent step-count oracle: number of unit-step paths a -> b in L steps."""
-    if not (1 <= a <= pp - 1 and 1 <= b <= pp - 1) or L < 0:
-        return 0
-    if L == 0:
-        return 1 if a == b else 0
-    return sum(count_paths(p, pp, nh, b, L - 1) for nh in (a - 1, a + 1) if 1 <= nh <= pp - 1)
 
 
 def enumerate_paths(model: Model, a: int, b: int, boundary: PostSeg | Wings,
@@ -420,6 +394,8 @@ def _chi_tilde_by_m(p: int, pp: int, a: int, b: int, e: int, f: int, L: int,
 def chi_tilde_by_m(model: Model, a: int, b: int, e: int, f: int, L: int,
                    attain=None) -> dict[int, QPoly]:
     """Winged generating functions split by the non-scoring count m."""
+    if not (0 < a < model.pp and 0 < b < model.pp):
+        raise ValueError("heights a, b must lie in 1..p'-1")
     return _chi_tilde_by_m(model.p, model.pp, a, b, e, f, L, frozenset(attain or ()))
 
 

@@ -167,28 +167,6 @@ class QPoly:
         return QPoly({int(e): int(c) for e, c in d.items()})
 
 
-# -- spec-level operation aliases -------------------------------------------
-
-def add(p: QPoly, r: QPoly) -> QPoly:
-    return p + r
-
-
-def mul(p: QPoly, r: QPoly) -> QPoly:
-    return p * r
-
-
-def shift(p: QPoly, exp: int) -> QPoly:
-    return p.shift(exp)
-
-
-def invert_q(p: QPoly) -> QPoly:
-    return p.invert_q()
-
-
-def truncate(p: QPoly, max_degree: int) -> QPoly:
-    return p.truncate(max_degree)
-
-
 # -- exact division ----------------------------------------------------------
 
 def div_exact(num: QPoly, den: QPoly) -> QPoly:

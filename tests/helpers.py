@@ -4,7 +4,9 @@ from itertools import product
 
 from hypothesis import strategies as st
 
-from fbpaths import Model, Path, QPoly, TransformError, Wings, iter_height_seqs
+from fbpaths import (
+    Model, Path, QPoly, TransformError, Wings, flat_sharp, iter_height_seqs,
+)
 from fbpaths.model import coprime_pairs
 from fbpaths.paths import _ends, _parity_table, _score
 from fbpaths.transforms import _score_wings
@@ -145,10 +147,11 @@ def leaf_filtered_walk(system, L, modified):
     keeps n >= 0; the modified rule also keeps n_j < 0 when m_j = 0."""
     t = system.t
     u = [x + y for x, y in zip(system.u_L, system.u_R)]
+    C_hat = system.C_hat
     for m_hat in unpruned_walk(system, L):
         n = []
         for j in range(1, t + 1):
-            v = u[j - 1] - sum(c * m for c, m in zip(system.C_hat[j - 1], m_hat))
+            v = u[j - 1] - sum(c * m for c, m in zip(C_hat[j - 1], m_hat))
             assert v % 2 == 0, "parity mismatch"
             n.append(v // 2)
         if n[t - 1] < 0:
@@ -156,6 +159,37 @@ def leaf_filtered_walk(system, L, modified):
         if any(n[j - 1] < 0 and not (modified and m_hat[j] == 0) for j in range(1, t)):
             continue
         yield m_hat, tuple(n)
+
+
+def dense_parity(C_hat, u):
+    """Oracle for the parity vector Q of characters.build_system: integer
+    back-substitution for C_hat x = u over the dense rows, reduced mod 2.
+    Row i of C_hat (equation i = 1..t) has its lowest column at i-1 with
+    entry -1, so x fills in from the last equation up."""
+    t = len(u)
+    x = [0] * t
+    for i in range(t, 0, -1):
+        row = C_hat[i - 1]
+        x[i - 1] = sum(row[j] * x[j] for j in range(i, t)) - u[i - 1]
+    return tuple(v % 2 for v in x)
+
+
+def dense_exponents(system, m_hats):
+    """Oracle for characters._exponent: (m_hat^T C m_hat - L^2 - 2 w.m +
+    gamma)/4 for each m_hat, with w = u_L^flat + u_R^sharp and the quadratic
+    form summed over the dense rows of system.C."""
+    tak = system.tak
+    w = [fl + sh for fl, sh in zip(flat_sharp(system.u_L, tak, "flat"),
+                                   flat_sharp(system.u_R, tak, "sharp"))]
+    C = system.C
+    out = []
+    for m_hat in m_hats:
+        quad = sum(mi * c * mj for row, mi in zip(C, m_hat) for c, mj in zip(row, m_hat))
+        lin = sum(wj * mj for wj, mj in zip(w, m_hat[1:]))
+        exp, frac = divmod(quad - m_hat[0] ** 2 - 2 * lin + system.gamma, 4)
+        assert frac == 0, "fractional exponent"
+        out.append(exp)
+    return out
 
 
 def step_count(pp, a, b, L):

@@ -14,8 +14,8 @@ from fbpaths import (
     box_partition_oracle, build_system, c_from_b, chi, classify_vertex,
     continued_fraction, d_transform, decompose, fermionic_classical,
     fermionic_modified, fermionic_terms, gaussian, gaussian_modified,
-    groundstate_label, invert_q, iter_height_seqs, path_from_json, path_stats,
-    rebuild_path, rocha_caridi_truncated, shift, striking_sequence,
+    groundstate_label, iter_height_seqs, path_from_json, path_stats,
+    rebuild_path, rocha_caridi_truncated, striking_sequence,
     submodel_parity_check, truncate_left, truncate_right, verify_b_bijection,
     verify_bd_bijection, weight_from_striking, weight_wt, weight_wtilde,
     wings_path,
@@ -335,13 +335,13 @@ def test_criterion_8_gaussian_oracle():
     for m_ in range(13):
         for n_ in range(13 - m_):
             g = gaussian(m_ + n_, m_)
-            assert invert_q(g) == shift(g, -m_ * n_)
+            assert g.invert_q() == g.shift(-m_ * n_)
             gm = gaussian_modified(m_ + n_, m_)
-            assert invert_q(gm) == shift(gm, -m_ * n_)
+            assert gm.invert_q() == gm.shift(-m_ * n_)
     for a in range(-6, 7):
         for b in range(0, 7):
             gm = gaussian_modified(a, b)
-            assert invert_q(gm) == shift(gm, -b * (a - b))
+            assert gm.invert_q() == gm.shift(-b * (a - b))
     report(8, f"gaussian = box-partition oracle on {n} pairs; inversion laws hold", t0)
 
 

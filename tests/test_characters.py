@@ -14,7 +14,8 @@ from fbpaths import (
 )
 from fbpaths.characters import _iter_admissible_m
 from helpers import (
-    coprime_pairs, leaf_filtered_walk, step_count, unpruned_walk_size,
+    coprime_pairs, dense_exponents, dense_parity, leaf_filtered_walk, step_count,
+    unpruned_walk_size,
 )
 
 
@@ -146,6 +147,33 @@ def test_parity_invariants_sweep():
                 assert tr.alpha_dd[j] % 2 == Q[j] % 2
                 assert (tr.beta_p[j] - Q[j] + Q[j + 1]) % 2 == 0
             assert tr.alpha_dd[0] == b - a
+
+
+def test_parity_vector_equals_dense_back_substitution():
+    for p, pp in coprime_pairs(40):
+        tak = continued_fraction(p, pp)
+        members = takahashi_members(p, pp)
+        C_hat = build_system(p, pp, members[0], members[0]).C_hat  # one per model
+        # the reading changes a system only for n = 0, where T and T' overlap
+        for prefer_t_prime in ((False, True) if tak.n == 0 else (False,)):
+            for a, b in product(members, repeat=2):
+                sys = build_system(p, pp, a, b, prefer_t_prime)
+                u = [x + y for x, y in zip(sys.u_L, sys.u_R)]
+                assert sys.Q == dense_parity(C_hat, u), (p, pp, a, b, prefer_t_prime)
+
+
+def test_exponent_equals_dense_quadratic_form():
+    n = 0
+    for p, pp in coprime_pairs(13):
+        for a, b in product(takahashi_members(p, pp), repeat=2):
+            sys = build_system(p, pp, a, b)
+            for L, modified in product(range((a + b) % 2, 12, 2), (False, True)):
+                terms = fermionic_terms(sys, L, modified)
+                # every factor is a Gaussian with constant term 1
+                assert [term.min_exp() for _, _, term in terms] == \
+                    dense_exponents(sys, [m_hat for m_hat, _, _ in terms]), (p, pp, a, b, L)
+                n += len(terms)
+    assert n
 
 
 def test_q0_matches_length_parity():

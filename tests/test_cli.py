@@ -66,7 +66,11 @@ def test_chi_enumerate_at_large_L_equals_bosonic(capsys):
 
 @pytest.mark.parametrize("heights", [("--a", "0", "--b", "2"), ("--a", "1", "--b", "8"),
                                      ("--a", "1", "--b", "2", "--with-heights", "9"),
-                                     ("--a", "1", "--b", "2", "--with-heights", "3,0")])
+                                     ("--a", "1", "--b", "2", "--with-heights", "3,0"),
+                                     ("--a", "0", "--b", "2", "--e", "0", "--f", "1"),
+                                     ("--a", "1", "--b", "8", "--e", "1", "--f", "0"),
+                                     ("--a", "0", "--b", "2", "--e", "0", "--f", "1",
+                                      "--m", "1")])
 def test_chi_enumerate_heights_outside_the_grid(capsys, heights):
     code, out, err = run(capsys, "chi", "enumerate", "--p", "3", "--pp", "8",
                          "--L", "5", *heights)
@@ -216,6 +220,10 @@ def test_usage_errors(capsys, tmp_path):
     code, _, _ = run(capsys, "mn", "solve", "--p", "11", "--pp", "38",
                      "--a", "5", "--b", "1", "--L", "4")
     assert code == 2  # a outside the Takahashi sets
+    for route in ("enumerate", "bosonic", "fermionic"):  # (1,2) has no endpoint c
+        code, out, err = run(capsys, "chi", route, "--p", "1", "--pp", "2",
+                             "--a", "1", "--b", "1", "--L", "0")
+        assert code == 2 and out == "" and "post-segment" in err
 
 
 @pytest.mark.parametrize("boundary", [5, "c", [3], None, {"c": None},

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from fbpaths import (
     Model, Path, PostSeg, QPoly, Wings, chi, chi_tilde, chi_tilde_by_m,
-    chi_tilde_restricted, classify_vertex, count_paths, d_transform,
+    chi_tilde_restricted, classify_vertex, d_transform,
     enumerate_paths, iter_height_seqs, path_from_json, path_stats,
     path_to_json, postseg_path, rebuild_path, striking_sequence,
     weight_from_striking, weight_wt, weight_wtilde, wings_path,
@@ -168,7 +168,7 @@ def test_enumeration_matches_count_oracle():
         for a, b in product(range(1, pp), repeat=2):
             for L in range(0, 7):
                 n = len(list(iter_height_seqs(m, a, b, L)))
-                assert n == count_paths(p, pp, a, b, L)
+                assert n == step_count(pp, a, b, L)
 
 
 def test_enumerate_impossible_parity_is_empty():

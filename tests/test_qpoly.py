@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fbpaths import (
-    QPoly, add, box_partition_oracle, div_exact, gaussian, gaussian_modified,
-    invert_q, mul, pochhammer, shift, truncate,
+    QPoly, box_partition_oracle, div_exact, gaussian, gaussian_modified,
+    pochhammer,
 )
 from fbpaths.qpoly import kronecker_product
 
@@ -21,30 +21,30 @@ def rand_poly(rng, nterms=4, span=8):
 
 
 def test_add_examples():
-    assert add(ONE + Q, Q) == ONE + 2 * Q
+    assert (ONE + Q) + Q == ONE + 2 * Q
     p = rand_poly(random.Random(0))
-    assert add(p, QPoly.zero()) == p
-    assert add(ONE + Q, -(ONE + Q)) == QPoly.zero()
+    assert p + QPoly.zero() == p
+    assert (ONE + Q) + -(ONE + Q) == QPoly.zero()
     assert not (ONE + Q - ONE - Q).terms  # cancellation empties the map
 
 
 def test_mul_examples():
-    assert mul(ONE + Q, ONE + Q) == ONE + 2 * Q + QPoly.q_int(2)
+    assert (ONE + Q) * (ONE + Q) == ONE + 2 * Q + QPoly.q_int(2)
     p = rand_poly(random.Random(1))
-    assert mul(p, ONE) == p
+    assert p * ONE == p
 
 
 def test_shift_examples():
-    assert shift(ONE, 1) == Q
-    assert shift(Q, -1) == ONE
-    assert shift(ONE + Q, 2) == QPoly({2: 1, 3: 1})
+    assert ONE.shift(1) == Q
+    assert Q.shift(-1) == ONE
+    assert (ONE + Q).shift(2) == QPoly({2: 1, 3: 1})
 
 
 def test_invert_q_examples():
-    assert invert_q(ONE + Q) == ONE + QPoly.q_int(-1)
+    assert (ONE + Q).invert_q() == ONE + QPoly.q_int(-1)
     p = rand_poly(random.Random(2))
-    assert invert_q(invert_q(p)) == p
-    assert invert_q(QPoly.q_int(2)) == QPoly.q_int(-2)
+    assert p.invert_q().invert_q() == p
+    assert QPoly.q_int(2).invert_q() == QPoly.q_int(-2)
 
 
 def test_ring_laws_randomized():
@@ -104,11 +104,11 @@ def test_gaussian_inversion_laws():
     for m in range(7):
         for n in range(7):
             g = gaussian(m + n, m)
-            assert invert_q(g) == shift(g, -m * n)
+            assert g.invert_q() == g.shift(-m * n)
     for a in range(-4, 9):
         for b in range(0, 7):
             g = gaussian_modified(a, b)
-            assert invert_q(g) == shift(g, -b * (a - b))
+            assert g.invert_q() == g.shift(-b * (a - b))
 
 
 def test_gaussian_modified_agrees_on_overlap():
@@ -120,9 +120,9 @@ def test_gaussian_modified_agrees_on_overlap():
 
 def test_truncate():
     p = ONE + Q + QPoly.q_int(5)
-    assert truncate(p, 2) == ONE + Q
-    assert truncate(QPoly.zero(), 3) == QPoly.zero()
-    assert truncate(p, 5) == p
+    assert p.truncate(2) == ONE + Q
+    assert QPoly.zero().truncate(3) == QPoly.zero()
+    assert p.truncate(5) == p
 
 
 def test_div_exact_round_trip():

@@ -1,8 +1,11 @@
 """Source checks: library invariants raise explicit errors, so they still
-hold under python -O, and every name the benchmark's tracer patches exists."""
+hold under python -O, every name the benchmark's tracer patches exists, and
+every library name has a caller."""
 
 import ast
 import importlib
+import re
+from collections import Counter
 from pathlib import Path as FsPath
 
 import fbpaths
@@ -40,3 +43,45 @@ def test_traced_names_resolve():
         if not callable(obj):
             missing.append(f"{module}.{attr}")
     assert missing == []
+
+
+ROOT = FsPath(__file__).parents[1]
+
+
+def _used_names(tree):
+    """Counts of the identifiers a syntax tree uses: names, attributes,
+    imported names and dotted-name strings (the tracer names its targets in
+    strings); docstrings and other bare string statements do not count."""
+    bare = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+    used = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            used[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            used[node.name.rsplit(".", 1)[-1]] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and id(node) not in bare and re.fullmatch(r"[\w.]+", node.value):
+            used.update(node.value.split("."))
+    return used
+
+
+def test_every_library_name_is_referenced():
+    used = Counter()
+    for folder in ("src", "tests", "demos", "perfbench"):
+        for src in sorted((ROOT / folder).rglob("*.py")):
+            used += _used_names(ast.parse(src.read_text(), filename=str(src)))
+    defs = []  # (qualified name, def node) for every library function, class and method
+    for src in SOURCES:
+        for node in ast.parse(src.read_text(), filename=str(src)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.append((node.name, node))
+            if isinstance(node, ast.ClassDef):
+                defs.extend((f"{node.name}.{item.name}", item) for item in node.body
+                            if isinstance(item, ast.FunctionDef)
+                            and not (item.name.startswith("__") and item.name.endswith("__")))
+    # a reference inside the def itself (recursion) does not count
+    unused = [qual for qual, node in defs
+              if used[node.name] - _used_names(node)[node.name] <= 0]
+    assert unused == [], f"no reference outside their own def: {unused}"
