@@ -198,7 +198,7 @@ def _gamma_iteration(band, delta_L, delta_R) -> GammaTrace:
                       tuple(alpha_dd), tuple(beta_p), tuple(gamma_dd))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def build_system(p: int, pp: int, a: int, b: int,
                  prefer_t_prime: bool = False) -> FermionicSystem:
     """Assemble every ingredient of the constant-sign sums for endpoints a, b."""
@@ -228,19 +228,16 @@ def build_system(p: int, pp: int, a: int, b: int,
     )
 
 
-def flat_sharp(u: tuple[int, ...], tak: TakahashiData, variant: str,
-               k_offset: int = 0) -> tuple[int, ...]:
+def flat_sharp(u: tuple[int, ...], tak: TakahashiData, variant: str) -> tuple[int, ...]:
     """Zone-parity mask of a t-vector, giving components 1..t-1.
 
-    "flat" zeroes components in zones congruent to k_offset mod 2, "sharp"
-    keeps exactly those.
+    "flat" zeroes the components in even zones, "sharp" keeps exactly those.
     """
     if variant not in ("flat", "sharp"):
         raise ValueError("variant must be 'flat' or 'sharp'")
     out = []
     for j in range(1, tak.t):
-        same = tak.zone_of(j) % 2 == k_offset % 2
-        keep = (variant == "sharp") == same
+        keep = (variant == "sharp") == (tak.zone_of(j) % 2 == 0)
         out.append(u[j - 1] if keep else 0)
     return tuple(out)
 

@@ -27,6 +27,8 @@ STRAIGHT_DOWN = "straight-down"
 PEAK_UP = "peak-up"
 PEAK_DOWN = "peak-down"
 
+Score = tuple[int, list[bool]]  # (weight, scoring flags of vertices 0..L) of a path
+
 
 @dataclass(frozen=True)
 class PostSeg:
@@ -39,6 +41,10 @@ class Wings:
     """Pre/post segment directions: e=0 pre-segment SE, e=1 NE; f=0 post NE, f=1 SE."""
     e: int
     f: int
+
+    def __post_init__(self):
+        if self.e not in (0, 1) or self.f not in (0, 1):
+            raise ValueError("wings e, f must be 0 or 1")
 
 
 @dataclass(frozen=True)
@@ -64,9 +70,6 @@ class Path:
                 raise ValueError(f"post-segment endpoint c={c} is not b+-1")
             if not 1 <= c <= pp - 1:
                 raise ValueError(f"c={c} outside 1..{pp - 1}")
-        else:
-            if self.boundary.e not in (0, 1) or self.boundary.f not in (0, 1):
-                raise ValueError("wings e, f must be 0 or 1")
 
     @property
     def a(self) -> int:
@@ -97,7 +100,7 @@ def _parity_table(model: Model) -> tuple[bool, ...]:
     return (False, *map(bool, model.band_parities()), False)
 
 
-def _score(par, heights, in_up: bool, out_up: bool, wing: bool) -> tuple[int, list[bool]]:
+def _score(par, heights, in_up: bool, out_up: bool, wing: bool) -> Score:
     """(weight, flags) of the vertices 0..L of a height sequence.
 
     in_up is the direction into vertex 0 and out_up the direction out of
@@ -134,7 +137,7 @@ def _ends(boundary: PostSeg | Wings, b: int) -> tuple[bool, bool, bool]:
     return boundary.e == 1, boundary.f == 0, True
 
 
-def _path_score(path: Path) -> tuple[int, list[bool]]:
+def _path_score(path: Path) -> Score:
     hs = path.heights
     return _score(_parity_table(path.model), hs, *_ends(path.boundary, hs[-1]))
 
@@ -199,11 +202,15 @@ class StrikingSequence:
 def striking_sequence(path: Path) -> StrikingSequence:
     if not isinstance(path.boundary, Wings):
         raise ValueError("striking sequences are defined for winged paths")
+    return _striking(path, _path_score(path)[1])
+
+
+def _striking(path: Path, scoring: list[bool]) -> StrikingSequence:
+    """The striking sequence of a winged path from its scoring flags."""
     e, f = path.boundary.e, path.boundary.f
     hs = path.heights
     if path.L == 0:
         return StrikingSequence((), e, f, f)  # direction convention h_1 = h_0 + (-1)^f
-    _, scoring = _path_score(path)
     cols: list[list[int]] = []
     step = 0
     for v in range(1, len(hs)):
@@ -251,34 +258,30 @@ class PathStats:
     d: int
 
 
-def _first_band_parity(path: Path) -> int:
-    """pi: parity of the band under the first segment of a winged path (the
-    post-segment when L = 0)."""
+def _first_segment(path: Path) -> tuple[int, int]:
+    """(pi, d) of a winged path: pi the parity of the band under its first
+    segment (the post-segment when L = 0), d = 0 when that segment points NE."""
     hs = path.heights
     h1 = hs[1] if path.L else hs[0] + (1 if path.boundary.f == 0 else -1)
-    return int(_parity_table(path.model)[min(hs[0], h1)])
+    return int(_parity_table(path.model)[min(hs[0], h1)]), int(h1 < hs[0])
 
 
 def path_stats(path: Path) -> PathStats:
-    """m, alpha, beta, pi, d computed from the striking sequence."""
+    """m, alpha, beta, pi, d from one pass of the scoring flags.
+
+    m counts the non-scoring vertices and alpha = b - a.  beta sums the step
+    h_v - h_{v-1} into every scoring vertex v = 1..L, plus the pre-segment's
+    step (+1 for e = 0, -1 for e = 1) when vertex 0 does not score.
+    """
     if not isinstance(path.boundary, Wings):
         raise ValueError("path statistics are defined for winged paths")
-    e, f = path.boundary.e, path.boundary.f
-    pi = _first_band_parity(path)
-    if path.L == 0:
-        return PathStats(m=abs(f - e), alpha=0, beta=f - e, pi=pi, d=f)
-    ss = striking_sequence(path)
-    odd = (e + ss.d + pi) % 2
-    m, alpha, beta = odd, 0, 0
-    sign = 1 if ss.d == 0 else -1  # the lines alternate NE and SE
-    for a_i, b_i in ss.columns:
-        m += a_i
-        alpha += sign * (a_i + b_i)
-        beta += sign * b_i
-        sign = -sign
-    if odd:
-        beta += 1 if e == 0 else -1
-    return PathStats(m=m, alpha=alpha, beta=beta, pi=pi, d=ss.d)
+    hs = path.heights
+    _, flags = _path_score(path)
+    beta = sum(hs[v] - hs[v - 1] for v in range(1, len(hs)) if flags[v])
+    if not flags[0]:
+        beta += 1 if path.boundary.e == 0 else -1
+    pi, d = _first_segment(path)
+    return PathStats(m=flags.count(False), alpha=hs[-1] - hs[0], beta=beta, pi=pi, d=d)
 
 
 def beta_closed_form(model: Model, a: int, b: int, e: int, f: int) -> int:
@@ -343,6 +346,8 @@ def _transfer(model: Model, a: int, b: int, L: int, boundary: PostSeg | Wings,
     A scoring vertex shifts it by the vertex's coordinate (see _score).
     """
     pp = model.pp
+    if not all(0 < s < pp for s in attain):
+        raise ValueError(f"attained heights {sorted(attain)} must lie in 1..p'-1")
     if not (0 < a < pp and 0 < b < pp) or L < 0 or (L + a - b) % 2 or abs(b - a) > L:
         return {}
     first_up, last_up, wing = _ends(boundary, b)
@@ -375,14 +380,11 @@ def _transfer(model: Model, a: int, b: int, L: int, boundary: PostSeg | Wings,
 def chi(model: Model, a: int, b: int, c: int, L: int, attain=None) -> QPoly:
     """Sum of q^wt(h) over post-segment paths a -> b with endpoint c, or
     over those attaining every height of `attain`."""
-    req = frozenset(attain or ())
     if not all(0 < h < model.pp for h in (a, b, c)):
         raise ValueError("heights a, b, c must lie in 1..p'-1")
-    if not all(0 < s < model.pp for s in req):
-        raise ValueError(f"attained heights {sorted(req)} must lie in 1..p'-1")
     if abs(c - b) != 1:
         raise ValueError(f"need c = b +- 1, got b={b}, c={c}")
-    return _transfer(model, a, b, L, PostSeg(c), req).get(0, QPoly.zero())
+    return _transfer(model, a, b, L, PostSeg(c), frozenset(attain or ())).get(0, QPoly.zero())
 
 
 @lru_cache(maxsize=None)
@@ -393,7 +395,8 @@ def _chi_tilde_by_m(p: int, pp: int, a: int, b: int, e: int, f: int, L: int,
 
 def chi_tilde_by_m(model: Model, a: int, b: int, e: int, f: int, L: int,
                    attain=None) -> dict[int, QPoly]:
-    """Winged generating functions split by the non-scoring count m."""
+    """Winged generating functions split by the non-scoring count m.  Wings
+    outside {0, 1} and attained heights off the grid raise ValueError."""
     if not (0 < a < model.pp and 0 < b < model.pp):
         raise ValueError("heights a, b must lie in 1..p'-1")
     return _chi_tilde_by_m(model.p, model.pp, a, b, e, f, L, frozenset(attain or ()))

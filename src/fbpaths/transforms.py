@@ -3,22 +3,24 @@
 The building blocks: path dilation into the (p, p'+p) model, insertion of k
 particles (adjacent pairs of scoring vertices), particle motion indexed by a
 partition, the parity-flip map onto the (p'-p, p') model, and single-unit
-extension/truncation at either end.  Dilation and its inverse rebuild the
-path from its striking sequence; particle moves and the decomposition work
-on explicit height lists, reading the scoring flags of the paths kernel.
+extension/truncation at either end.  Dilation doubles the step into every
+scoring vertex; its inverse rebuilds the path from its striking sequence.
 A particle moves one step by a local swap of two segment steps: the step
 of one segment trades places with the step of the segment just before it
-or of the one before that, and the scoring flags decide which.
+or of the one before that, and the scoring flags decide which.  A move is
+handed the Score of the heights it starts from and returns that of the
+heights it makes, so a chain of moves scores only its candidates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .model import Model
 from .paths import (
-    Path, Wings, _first_band_parity, _parity_table, _score, chi_tilde,
-    rebuild_heights, striking_sequence,
+    Path, Score, Wings, _first_segment, _parity_table, _score, _striking,
+    chi_tilde, rebuild_heights,
 )
 from .qpoly import QPoly, gaussian
 
@@ -35,8 +37,8 @@ def _require_wings(path: Path) -> Wings:
 
 # -- vertex scoring (wing convention) ----------------------------------------
 
-def _score_wings(model: Model, heights, e: int, f: int) -> tuple[int, list[bool]]:
-    """(weight, scoring flags of vertices 0..L) of a winged height sequence."""
+def _score_wings(model: Model, heights, e: int, f: int) -> Score:
+    """The Score of a winged height sequence."""
     return _score(_parity_table(model), heights, e == 1, f == 0, True)
 
 
@@ -45,27 +47,26 @@ def _score_wings(model: Model, heights, e: int, f: int) -> tuple[int, list[bool]
 def b1(path: Path) -> Path:
     """Dilate into the (p, p'+p) model.
 
-    Every scoring vertex gets a straight vertex inserted before it (with a
-    small correction on the first line when the 0th vertex is non-scoring);
-    undefined for L = 0 with e != f.
+    Built from the segment steps: the step into each vertex v = 1..L is
+    kept, and doubled when v scores (a straight vertex inserted before it).
+    When the 0th vertex does not score, the first step is doubled too if
+    the band under it is odd (pi = 1) and dropped if it is even.  The
+    heights start from a + floor(ap/p') + e.  Undefined for L = 0 with e != f.
     """
     wings = _require_wings(path)
     e, f = wings.e, wings.f
+    if path.L == 0 and e != f:
+        raise TransformError("dilation is undefined for L = 0 with e != f")
     model = path.model
-    big = Model(model.p, model.pp + model.p)
-    a_new = path.a + model.floor_mult(path.a) + e
-    if path.L == 0:
-        if e != f:
-            raise TransformError("dilation is undefined for L = 0 with e != f")
-        return Path(big, (a_new,), Wings(e, f))
-    ss = striking_sequence(path)
-    pi = _first_band_parity(path)
-    widths = list(ss.widths)
-    bs = [b for _, b in ss.columns]
-    new_widths = [w + b for w, b in zip(widths, bs)]
-    if (e + ss.d + pi) % 2 == 1:
-        new_widths[0] = widths[0] + bs[0] + 2 * pi - 1
-    return Path(big, rebuild_heights(new_widths, ss.d, a_new), Wings(e, f))
+    hs = path.heights
+    _, flags = _score_wings(model, hs, e, f)
+    steps = [hs[v] - hs[v - 1] for v in range(1, len(hs)) for _ in range(1 + flags[v])]
+    if not flags[0]:
+        pi, _ = _first_segment(path)
+        steps = steps[:1] + steps if pi else steps[1:]
+    # via a list: a tuple built from the iterator itself can keep an oversized block
+    heights = list(accumulate(steps, initial=path.a + model.floor_mult(path.a) + e))
+    return Path(Model(model.p, model.pp + model.p), tuple(heights), Wings(e, f))
 
 
 def b1_inverse(path0: Path) -> Path:
@@ -88,14 +89,13 @@ def b1_inverse(path0: Path) -> Path:
         if not 1 <= a + step <= small.pp - 1:
             raise TransformError("point path with e != f is not a dilation image")
         return Path(small, (a, a + step), Wings(e, f))
-    ss = striking_sequence(path0)
     _, flags = _score_wings(model, path0.heights, e, f)
-    widths = list(ss.widths)
-    bs = [b for _, b in ss.columns]
-    # one straight vertex was inserted before every scoring vertex, except on
-    # the first line when the 0th vertex changed character under dilation
-    small_widths = [w - b for w, b in zip(widths, bs)]
-    small_bs = bs[:]
+    ss = _striking(path0, flags)
+    # one straight vertex was inserted before every scoring vertex, so each
+    # line had width a_i, except the first when the 0th vertex changed
+    # character under dilation
+    small_widths = [a_i for a_i, _ in ss.columns]
+    small_bs = [b_i for _, b_i in ss.columns]
     if not flags[0]:
         small_widths[0] += 1  # preimage had e+d+pi odd with pi = 0
     elif path0.L >= 2 and flags[1] and (path0.heights[1] - path0.heights[0]) == (path0.heights[2] - path0.heights[1]):
@@ -134,19 +134,21 @@ def b2(path: Path, k: int) -> Path:
 
 # -- particle moves ----------------------------------------------------------
 
-def _rewrite_window(model: Model, heights: list[int], e: int, f: int,
-                    w0: int, after: tuple[bool, bool, bool], dw: int) -> list[int]:
+def _rewrite_window(model: Model, heights: list[int], score: Score, e: int, f: int,
+                    w0: int, after: tuple[bool, bool, bool], dw: int) -> tuple[list[int], Score]:
     """Re-route the three vertices w0..w0+2 so their scoring pattern becomes
     `after`, the weight changes by exactly dw, and m is preserved.
 
-    With s_i = h_{i+1} - h_i the step of segment i, a particle move swaps
-    s_{w0+1} with s_{w0} or with s_{w0-1}; swapping the steps of segments
-    i < j shifts h_{i+1}..h_j by s_j - s_i and pins every other height.
-    Exactly one of the two swaps must stay on the grid and pass the check.
-    Both callers pass 0 <= w0 <= L - 2.
+    score is the Score of `heights`; the result is the new heights with
+    their own Score.  With s_i = h_{i+1} - h_i the step of
+    segment i, a particle move swaps s_{w0+1} with s_{w0} or with s_{w0-1};
+    swapping the steps of segments i < j shifts h_{i+1}..h_j by s_j - s_i
+    and pins every other height.  Each candidate is scored on the whole
+    path; exactly one of the two swaps must stay on the grid and pass the
+    check.  Both callers pass 0 <= w0 <= L - 2.
     """
     j = w0 + 1
-    old_w, old_flags = _score_wings(model, heights, e, f)
+    old_w, old_flags = score
     old_m = old_flags.count(False)
     s_j = heights[j + 1] - heights[j]
     found = None
@@ -162,7 +164,7 @@ def _rewrite_window(model: Model, heights: list[int], e: int, f: int,
             continue
         if found is not None:
             raise RuntimeError("ambiguous particle move")
-        found = new_heights
+        found = new_heights, (w, flags)
     if found is None:
         raise TransformError("particle move is blocked")
     return found
@@ -173,17 +175,18 @@ def _dir_string(heights, i0: int, i1: int) -> str:
                    for i in range(max(i0, 0), min(i1, len(heights) - 1)))
 
 
-def move_particle_once(model: Model, heights: list[int], e: int, f: int,
-                       v: int, trace: list | None = None) -> tuple[list[int], int]:
+def move_particle_once(model: Model, heights: list[int], score: Score, e: int, f: int,
+                       v: int, trace: list | None = None) -> tuple[list[int], int, Score]:
     """Move the particle whose scoring pair starts at vertex v one step right.
 
-    When the pair abuts further scoring vertices, the moving pair relabels to
-    the last two of the scoring run (particles are indistinguishable, so the
-    excitation slides along the run); refuses at the path end.  Returns the
-    new heights and the new pair start v+1.
+    score is the Score of `heights`.  When the pair abuts further scoring
+    vertices, the moving pair relabels to the last two of the scoring run
+    (particles are indistinguishable, so the excitation slides along the
+    run); refuses at the path end.  Returns the new heights, the new pair
+    start v+1 and the new Score.
     """
     L = len(heights) - 1
-    _, flags = _score_wings(model, heights, e, f)
+    _, flags = score
     if not (v + 1 <= L and flags[v] and flags[v + 1]):
         raise TransformError(f"no scoring pair at vertices ({v},{v + 1})")
     while v + 2 <= L and flags[v + 2]:
@@ -191,23 +194,24 @@ def move_particle_once(model: Model, heights: list[int], e: int, f: int,
     if v + 2 > L:
         raise TransformError("particle at the path end cannot move right")
     before = _dir_string(heights, v - 1, v + 3)
-    new_heights = _rewrite_window(model, heights, e, f, v, (False, True, True), +1)
+    new_heights, new_score = _rewrite_window(model, heights, score, e, f, v, (False, True, True), +1)
     if trace is not None:
         trace.append({"from_index": v, "move": before + ">" + _dir_string(new_heights, v - 1, v + 3)})
-    return new_heights, v + 1
+    return new_heights, v + 1, new_score
 
 
-def reverse_particle_move(model: Model, heights: list[int], e: int, f: int,
-                          v: int) -> tuple[list[int], int]:
-    """Move the scoring pair starting at vertex v one step left (inverse move)."""
+def reverse_particle_move(model: Model, heights: list[int], score: Score, e: int, f: int,
+                          v: int) -> tuple[list[int], int, Score]:
+    """Move the scoring pair starting at vertex v one step left (inverse
+    move), as move_particle_once; returns the pair start v-1."""
     L = len(heights) - 1
-    _, flags = _score_wings(model, heights, e, f)
+    _, flags = score
     if not (v + 1 <= L and flags[v] and flags[v + 1]):
         raise TransformError(f"no scoring pair at vertices ({v},{v + 1})")
     if v - 1 < 0 or flags[v - 1]:
         raise TransformError("reverse move needs a non-scoring vertex on the left")
-    new_heights = _rewrite_window(model, heights, e, f, v - 1, (True, True, False), -1)
-    return new_heights, v - 1
+    new_heights, new_score = _rewrite_window(model, heights, score, e, f, v - 1, (True, True, False), -1)
+    return new_heights, v - 1, new_score
 
 
 def b3(path: Path, lam, k: int | None = None, trace: list | None = None) -> Path:
@@ -232,13 +236,14 @@ def b3(path: Path, lam, k: int | None = None, trace: list | None = None) -> Path
         raise TransformError("particle moves need p' > 2p")
     if model.delta(path.a, e) != 0 or model.delta(path.b, f) != 0:
         raise TransformError("particle moves need even pre- and post-segment bands")
-    if lam[0] > _score_wings(model, path.heights, e, f)[1].count(False):
-        raise TransformError("lambda_1 exceeds the number of non-scoring vertices")
     heights = list(path.heights)
+    score = _score_wings(model, heights, e, f)
+    if lam[0] > score[1].count(False):
+        raise TransformError("lambda_1 exceeds the number of non-scoring vertices")
     for i, steps in enumerate(lam):
         v = 2 * (k - 1 - i)
         for _ in range(steps):
-            heights, v = move_particle_once(model, heights, e, f, v, trace=trace)
+            heights, v, score = move_particle_once(model, heights, score, e, f, v, trace=trace)
     return Path(model, tuple(heights), Wings(e, f))
 
 
@@ -296,13 +301,9 @@ def decompose(path: Path, direction: str = "B") -> tuple[Path, int, tuple[int, .
     L = path.L
     mu: list[int] = []
     j = 0
-    _, flags = _score_wings(model, heights, e, f)  # rescored after each height change
+    _, flags = score = _score_wings(model, heights, e, f)  # each reverse move hands on its score
     while True:
-        v = None
-        for cand in range(2 * j, L):
-            if flags[cand] and flags[cand + 1]:
-                v = cand
-                break
+        v = next((c for c in range(2 * j, L) if flags[c] and flags[c + 1]), None)
         if v is None:
             break
         if 2 * (j + 1) > L:
@@ -312,8 +313,8 @@ def decompose(path: Path, direction: str = "B") -> tuple[Path, int, tuple[int, .
             if flags[v - 1]:
                 v -= 1  # relabel: the pair slides left over a scoring vertex
             else:
-                heights, v = reverse_particle_move(model, heights, e, f, v)
-                _, flags = _score_wings(model, heights, e, f)
+                heights, v, score = reverse_particle_move(model, heights, score, e, f, v)
+                _, flags = score
                 moves += 1
         mu.append(moves)
         j += 1
@@ -323,14 +324,12 @@ def decompose(path: Path, direction: str = "B") -> tuple[Path, int, tuple[int, .
     lam = tuple(x for x in reversed(mu) if x)  # canonical partition: positive parts
     if len(lam) > k:
         raise TransformError("path is not in the image of the composite transform")
-    core = heights[2 * k:]
     if k:
         stacked = heights[:2 * k + 1]
         if any(stacked[i] != path.a for i in range(0, 2 * k + 1, 2)) or \
            any(abs(stacked[i] - path.a) != 1 for i in range(1, 2 * k, 2)):
             raise TransformError("reversed particles did not stack at the startpoint")
-    h0 = Path(model, tuple(core), Wings(e, f))
-    base = b1_inverse(h0)
+    base = b1_inverse(Path(model, tuple(heights[2 * k:]), Wings(e, f)))
     return (d_transform(base) if direction == "BD" else base), k, lam
 
 

@@ -5,10 +5,11 @@ from itertools import product
 from hypothesis import strategies as st
 
 from fbpaths import (
-    Model, Path, QPoly, TransformError, Wings, flat_sharp, iter_height_seqs,
+    Model, Path, PathStats, QPoly, TransformError, Wings, flat_sharp,
+    iter_height_seqs, striking_sequence,
 )
 from fbpaths.model import coprime_pairs
-from fbpaths.paths import _ends, _parity_table, _score
+from fbpaths.paths import _ends, _first_segment, _parity_table, _score, rebuild_heights
 from fbpaths.transforms import _score_wings
 
 
@@ -74,15 +75,17 @@ def random_winged_walk(data, ppmax, max_steps):
     return Path(model, tuple(hs), Wings(e, f))
 
 
-def refill_search(model, heights, e, f, w0, after, dw):
+def refill_search(model, heights, score, e, f, w0, after, dw):
     """Oracle for transforms._rewrite_window: try every +-1 refill of the
     heights max(w0, 1)..min(w0 + 2, L - 1) between their pinned neighbours,
     score the whole path for each, and keep the one re-routing that gives
     vertices w0..w0+2 the scoring pattern `after`, changes the weight by dw
-    and keeps m."""
+    and keeps m.  Returns it with its (weight, flags), after checking that
+    the score handed in is the score of `heights`."""
     L = len(heights) - 1
     lo, hi = max(w0, 1), min(w0 + 2, L - 1)
     old_w, old_flags = _score_wings(model, heights, e, f)
+    assert score == (old_w, old_flags), "the score handed in is not the path's"
 
     def refills(pos, prev, acc):
         if pos > hi:
@@ -101,11 +104,53 @@ def refill_search(model, heights, e, f, w0, after, dw):
         w, flags = _score_wings(model, new_heights, e, f)
         if tuple(flags[w0:w0 + 3]) == after and w - old_w == dw \
                 and flags.count(False) == old_flags.count(False):
-            found.append(new_heights)
+            found.append((new_heights, (w, flags)))
     assert len(found) <= 1, "ambiguous particle move"
     if not found:
         raise TransformError("particle move is blocked")
     return found[0]
+
+
+def striking_path_stats(path):
+    """Oracle for paths.path_stats: m, alpha, beta read off the columns
+    (a_i, b_i) of the striking sequence, whose lines alternate NE and SE
+    starting from direction d; e + d + pi odd means vertex 0 does not score."""
+    e, f = path.boundary.e, path.boundary.f
+    pi = _first_segment(path)[0]
+    if path.L == 0:
+        return PathStats(m=abs(f - e), alpha=0, beta=f - e, pi=pi, d=f)
+    ss = striking_sequence(path)
+    odd = (e + ss.d + pi) % 2
+    m, alpha, beta = odd, 0, 0
+    sign = 1 if ss.d == 0 else -1
+    for a_i, b_i in ss.columns:
+        m += a_i
+        alpha += sign * (a_i + b_i)
+        beta += sign * b_i
+        sign = -sign
+    if odd:
+        beta += 1 if e == 0 else -1
+    return PathStats(m=m, alpha=alpha, beta=beta, pi=pi, d=ss.d)
+
+
+def striking_b1(path):
+    """Oracle for transforms.b1: widen every line of the striking sequence by
+    its scoring count b_i, correct the first line by 2 pi - 1 when vertex 0
+    does not score, and rebuild the heights from a + floor(ap/p') + e."""
+    e, f = path.boundary.e, path.boundary.f
+    model = path.model
+    big = Model(model.p, model.pp + model.p)
+    a_new = path.a + model.floor_mult(path.a) + e
+    if path.L == 0:
+        if e != f:
+            raise TransformError("dilation is undefined for L = 0 with e != f")
+        return Path(big, (a_new,), Wings(e, f))
+    ss = striking_sequence(path)
+    pi = _first_segment(path)[0]
+    new_widths = [w + b_i for w, (_, b_i) in zip(ss.widths, ss.columns)]
+    if (e + ss.d + pi) % 2 == 1:
+        new_widths[0] += 2 * pi - 1
+    return Path(big, rebuild_heights(new_widths, ss.d, a_new), Wings(e, f))
 
 
 def unpruned_walk(system, L):

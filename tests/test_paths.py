@@ -332,6 +332,22 @@ def test_chi_rejects_heights_outside_the_grid():
     assert chi(m, 2, 3, 4, 4) == chi(m, 2, 2, 3, -2) == QPoly.zero()
 
 
+@pytest.mark.parametrize("e, f, attain, match", [
+    (2, 0, None, "wings e, f must be 0 or 1"),
+    (0, 5, None, "wings e, f must be 0 or 1"),
+    (-1, 1, None, "wings e, f must be 0 or 1"),
+    (0, 0, {9}, "1..p'-1"),
+    (1, 0, {0}, "1..p'-1"),
+    (1, 1, {3, 8}, "1..p'-1"),
+])
+def test_chi_tilde_rejects_wings_and_heights_outside_the_grid(e, f, attain, match):
+    m = Model(3, 8)
+    with pytest.raises(ValueError, match=match):
+        chi_tilde(m, 2, 4, e, f, 6, attain=attain)
+    with pytest.raises(ValueError, match=match):
+        chi_tilde_by_m(m, 2, 4, e, f, 6, attain=attain)
+
+
 def test_path_json_round_trip():
     h = fig1_postseg()
     assert path_from_json(path_to_json(h)) == h

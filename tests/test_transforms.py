@@ -12,11 +12,15 @@ from fbpaths import (
     truncate_right, verify_b_bijection, verify_bd_bijection, weight_wtilde,
     wings_path,
 )
+from fbpaths.paths import _score
 from fbpaths.qpoly import partitions_in_box
 from fbpaths.transforms import (
     _rewrite_window, _score_wings, move_particle_once, reverse_particle_move,
 )
-from helpers import coprime_pairs, random_winged_walk, refill_search, winged_paths
+from helpers import (
+    coprime_pairs, random_winged_walk, refill_search, striking_b1,
+    striking_path_stats, winged_paths,
+)
 
 FIG1 = (2, 3, 4, 5, 4, 5, 6, 7, 6, 5, 6, 5, 4, 3, 4)
 
@@ -140,7 +144,7 @@ def _move_windows(path):
     reverse_particle_move hand to _rewrite_window, for every scoring pair."""
     model, hs = path.model, list(path.heights)
     e, f = path.boundary.e, path.boundary.f
-    _, flags = _score_wings(model, hs, e, f)
+    score = _score_wings(model, hs, e, f)
     windows = []
 
     def record(*args):
@@ -150,10 +154,10 @@ def _move_windows(path):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("fbpaths.transforms._rewrite_window", record)
         for v in range(path.L):
-            if flags[v] and flags[v + 1]:
+            if score[1][v] and score[1][v + 1]:
                 for move in (move_particle_once, reverse_particle_move):
                     try:
-                        move(model, hs, e, f, v)
+                        move(model, hs, score, e, f, v)
                     except TransformError:
                         pass
     return windows
@@ -184,6 +188,68 @@ def test_moves_equal_refill_search():
 @given(data=st.data())
 def test_moves_equal_refill_search_on_random_walks(data):
     _assert_moves_equal_refill_search(random_winged_walk(data, ppmax=40, max_steps=30))
+
+
+def _outcome_of(fn, path):
+    try:
+        return fn(path)
+    except TransformError as exc:
+        return str(exc)
+
+
+def _assert_equals_striking_oracles(path):
+    assert path_stats(path) == striking_path_stats(path)
+    assert _outcome_of(b1, path) == _outcome_of(striking_b1, path)
+
+
+def test_stats_and_dilation_equal_striking_oracles():
+    # the scoring flags give what the striking columns gave, on every path
+    n = 0
+    for p, pp in coprime_pairs(8):
+        for h in winged_paths(p, pp, 8):
+            _assert_equals_striking_oracles(h)
+            n += 1
+    assert n == 78416
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_stats_and_dilation_equal_striking_oracles_on_random_walks(data):
+    _assert_equals_striking_oracles(random_winged_walk(data, ppmax=40, max_steps=40))
+
+
+def test_each_path_state_is_scored_once(monkeypatch):
+    # path_stats scores once; b3 and decompose score once up front and then
+    # only the (at most two) candidates of each of the sum(lam) moves, and
+    # decompose's closing b1_inverse scores once more
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return _score(*args)
+
+    monkeypatch.setattr("fbpaths.paths._score", counting)
+    monkeypatch.setattr("fbpaths.transforms._score", counting)
+    n = 0
+    for p, pp in [(1, 3), (2, 5), (3, 7), (3, 8)]:
+        for h in winged_paths(p, pp, 4):
+            for k in (0, 1, 2):
+                try:
+                    hk = b2(b1(h), k)
+                except TransformError:
+                    continue
+                calls.clear()
+                mk = path_stats(hk).m
+                assert len(calls) == 1
+                for lam in partitions_in_box(k, min(mk, 3)):
+                    calls.clear()
+                    img = b3(hk, lam, k=k)
+                    assert len(calls) <= 1 + 2 * sum(lam), (hk, lam)
+                    calls.clear()
+                    _, _, lam2 = decompose(img)
+                    assert len(calls) <= 2 + 2 * sum(lam2), (img, lam2)
+                    n += 1
+    assert n == 17914
 
 
 def test_b3_rejects_bad_lambda():
