@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb, prod
 
 from .model import Model, TakahashiData, continued_fraction
-from .qpoly import QPoly, gaussian, kronecker_product
+from .qpoly import QPoly, gaussian, kronecker_product, pack, unpack
 
 
 # -- alternating-sign (bosonic) form ------------------------------------------
@@ -269,29 +270,36 @@ def _iter_admissible_m(system: FermionicSystem, L: int, annihilate: bool = False
         return
     u = [x + y for x, y in zip(system.u_L, system.u_R)]
     band = system.band
-    m = [L] + [0] * (t + 1)  # the walk sets m_1..m_{t-1}; m_t, m_{t+1} stay 0
+    # the walk sets m_1..m_{t-1}; m_t, m_{t+1} stay 0, and level 0 reads the
+    # extra last slot as m_{-1} = L - 1, so m_i <= m_{i-1} + 1 leaves m_0 = L
+    m = [L] + [0] * (t + 1) + [L - 1]
     n = [0] * t
-
-    def close(j: int) -> bool:
-        mid, hi = band[j]
-        v = u[j - 1] + m[j - 1] - mid * m[j] - hi * m[j + 1]
-        if v % 2:
-            raise ValueError("non-integral particle count: parity mismatch")
-        n[j - 1] = v // 2
-        return v >= 0 or (annihilate and m[j] == 0)
-
-    def rec(i: int):
-        # m_0..m_i are chosen, and rows 1..i-1 are closed
-        if i == t - 1:
-            if (i == 0 or close(i)) and close(t):
+    last = t - 1
+    # choosing m_i closes row i-1; at the last level it also closes rows t-1, t
+    rows = [range(max(i - 1, 1), t + 1 if i == last else i) for i in range(t)]
+    nxt = [L] * t  # the next candidate for m_i at level i
+    i = 0
+    while i >= 0:
+        x = nxt[i]
+        if x > m[i - 1] + 1:
+            i -= 1
+            continue
+        nxt[i] = x + 2
+        m[i] = x
+        for j in rows[i]:
+            mid, hi = band[j]
+            v = u[j - 1] + m[j - 1] - mid * m[j] - hi * m[j + 1]
+            if v % 2:
+                raise ValueError("non-integral particle count: parity mismatch")
+            n[j - 1] = v // 2
+            if v < 0 and not (annihilate and m[j] == 0):
+                break
+        else:
+            if i == last:
                 yield tuple(m[:t]), tuple(n)
-            return
-        for nxt in range(Q[i + 1], m[i] + 2, 2):
-            m[i + 1] = nxt
-            if i == 0 or close(i):
-                yield from rec(i + 1)
-
-    yield from rec(0)
+            else:
+                i += 1
+                nxt[i] = Q[i]
 
 
 def _exponent(system: FermionicSystem, m_hat: tuple[int, ...], w: list[int]) -> int:
@@ -311,25 +319,23 @@ def _exponent(system: FermionicSystem, m_hat: tuple[int, ...], w: list[int]) -> 
     return exp
 
 
-def fermionic_terms(system: FermionicSystem, L: int, modified: bool):
-    """Nonzero summands: a list of (m_hat, n, term polynomial).
-
-    The walk keeps only summands whose factors [m_j + n_j over m_j] are
-    classical Gaussians (m_j > 0, n_j >= 0) or equal to 1 (m_j = 0), so the
-    same dense product serves both forms.
-    """
+def _summands(system: FermionicSystem, L: int, modified: bool):
+    """(m_hat, n, exponent, keys) of each kept summand: q^exponent times the
+    classical Gaussians [top over k] for keys (top, k) = (m_j + n_j, m_j > 0),
+    since every other factor the walk keeps is 1 (m_j = 0) in both forms."""
     tak = system.tak
     w = [fl + sh for fl, sh in zip(flat_sharp(system.u_L, tak, "flat"),
                                    flat_sharp(system.u_R, tak, "sharp"))]
-    out = []
-    for m_hat, n in _iter_admissible_m(system, L, annihilate=modified):
-        factors = [gaussian(m + nj, m).terms.values()
-                   for m, nj in zip(m_hat[1:], n) if m]
-        low = _exponent(system, m_hat, w)
-        term = QPoly.__new__(QPoly)
-        term.terms = dict(enumerate(kronecker_product(factors), low))
-        out.append((m_hat, n, term))
-    return out
+    return [(m_hat, n, _exponent(system, m_hat, w),
+             [(m + nj, m) for m, nj in zip(m_hat[1:], n) if m])
+            for m_hat, n in _iter_admissible_m(system, L, annihilate=modified)]
+
+
+def fermionic_terms(system: FermionicSystem, L: int, modified: bool):
+    """Nonzero summands: a list of (m_hat, n, term polynomial)."""
+    return [(m_hat, n, QPoly(dict(enumerate(kronecker_product(
+                [gaussian(*key).terms.values() for key in keys]), low))))
+            for m_hat, n, low, keys in _summands(system, L, modified)]
 
 
 def mn_solutions(system: FermionicSystem, L: int) -> list[MnSolution]:
@@ -348,23 +354,43 @@ def _sub_character(zn: int, yn: int, a: int, b: int, c_outer: int, L: int) -> QP
     return bosonic(zn, yn, a, b, c, L)
 
 
+def _classical_tail(system: FermionicSystem, L: int) -> QPoly:
+    """The smaller-model term that the classical form adds to its sum."""
+    tak, a, b = system.tak, system.a, system.b
+    yn, zn = tak.y_of(tak.n), tak.z_of(tak.n)
+    c = c_from_b(tak.p, tak.pp, b)
+    if a < yn and b < yn:
+        return _sub_character(zn, yn, a, b, c, L)
+    if a > tak.pp - yn and b > tak.pp - yn:
+        return _sub_character(zn, yn, tak.pp - a, tak.pp - b, tak.pp - c, L)
+    return QPoly.zero()
+
+
 def _fermionic(p: int, pp: int, a: int, b: int, L: int, modified: bool,
                prefer_t_prime: bool = False) -> QPoly:
     if L < 0 or (L + a - b) % 2:
         return QPoly.zero()
     system = build_system(p, pp, a, b, prefer_t_prime)
+    summands = _summands(system, L, modified)
     total = QPoly.zero()
-    for _, _, term in fermionic_terms(system, L, modified):
-        total = total + term
-    if not modified:
-        tak = system.tak
-        yn, zn = tak.y_of(tak.n), tak.z_of(tak.n)
-        c = c_from_b(p, pp, b)
-        if a < yn and b < yn:
-            total = total + _sub_character(zn, yn, a, b, c, L)
-        elif a > pp - yn and b > pp - yn:
-            total = total + _sub_character(zn, yn, pp - a, pp - b, pp - c, L)
-    return total
+    if summands:
+        # every factor has non-negative coefficients, so the sum's value at
+        # q = 1 bounds each coefficient of every partial product and of the sum
+        bound = sum(prod(comb(*key) for key in keys) for *_, keys in summands)
+        width = (bound.bit_length() + 7) // 8
+        low = min(e for _, _, e, _ in summands)
+        packed = {}
+        acc = 0
+        for _, _, e, keys in summands:
+            term = 1
+            for key in keys:
+                if key not in packed:
+                    packed[key] = pack(gaussian(*key).terms.values(), width)
+                term *= packed[key]
+            acc += term << 8 * width * (e - low)
+        coeffs = unpack(acc, width, -(-acc.bit_length() // (8 * width)))
+        total.terms = {e: c for e, c in enumerate(coeffs, low) if c}
+    return total if modified else total + _classical_tail(system, L)
 
 
 def fermionic_classical(p: int, pp: int, a: int, b: int, L: int,

@@ -219,8 +219,10 @@ def _cmd_chi(args) -> int:
         poly = bosonic(args.p, args.pp, args.a, args.b, c, args.L)
     else:
         c, ambiguous = c_from_b_info(args.p, args.pp, args.b)
-        if args.c is not None and args.c != c and not ambiguous:
-            raise ValueError(f"the fermionic forms fix c = {c} for b = {args.b}")
+        allowed = (args.b - 1, args.b + 1) if ambiguous else (c,)
+        if args.c is not None and args.c not in allowed:
+            raise ValueError(f"the fermionic forms fix c = {' or '.join(map(str, allowed))}"
+                             f" for b = {args.b}")
         fn = fermionic_classical if args.form == "classical" else fermionic_modified
         poly = fn(args.p, args.pp, args.a, args.b, args.L, prefer_t_prime=args.tprime)
     _print_poly(poly, args.format)
@@ -314,6 +316,8 @@ def main(argv=None) -> int:
         for f in forms:
             if f not in ALL_FORMS:
                 raise ValueError(f"unknown form {f!r}")
+        if len(set(forms)) != len(forms) or len(forms) < 2:
+            raise ValueError("--forms needs two or more forms, none of them twice")
         cpus = os.cpu_count() or 1
         if not 1 <= args.jobs <= cpus:
             raise ValueError(f"--jobs must lie in 1..{cpus}")

@@ -290,8 +290,13 @@ def kronecker_product(factors) -> list[int]:
     width = (bound.bit_length() + 7) // 8
     acc = 1
     for coeffs in factors:
-        acc *= int.from_bytes(b"".join(c.to_bytes(width, "little") for c in coeffs), "little")
+        acc *= pack(coeffs, width)
     return unpack(acc, width, sum(len(coeffs) - 1 for coeffs in factors) + 1)
+
+
+def pack(coeffs, width: int) -> int:
+    """Non-negative coefficients, low first, packed width bytes each into an int."""
+    return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in coeffs), "little")
 
 
 def unpack(packed: int, width: int, n: int) -> list[int]:

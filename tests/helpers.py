@@ -153,6 +153,53 @@ def striking_b1(path):
     return Path(big, rebuild_heights(new_widths, ss.d, a_new), Wings(e, f))
 
 
+def recursive_walk(system, L, annihilate=False):
+    """Oracle for characters._iter_admissible_m: the same pruned depth-first
+    walk written as a recursion, one generator frame per level, with each
+    band row closed by a helper.  Yields (m_hat, n) and raises ValueError on
+    a parity mismatch at the same point of the walk."""
+    t = system.t
+    Q = system.Q
+    if L % 2 != Q[0]:
+        return
+    u = [x + y for x, y in zip(system.u_L, system.u_R)]
+    band = system.band
+    m = [L] + [0] * (t + 1)
+    n = [0] * t
+
+    def close(j):
+        mid, hi = band[j]
+        v = u[j - 1] + m[j - 1] - mid * m[j] - hi * m[j + 1]
+        if v % 2:
+            raise ValueError("non-integral particle count: parity mismatch")
+        n[j - 1] = v // 2
+        return v >= 0 or (annihilate and m[j] == 0)
+
+    def rec(i):
+        # m_0..m_i are chosen, and rows 1..i-1 are closed
+        if i == t - 1:
+            if (i == 0 or close(i)) and close(t):
+                yield tuple(m[:t]), tuple(n)
+            return
+        for nxt in range(Q[i + 1], m[i] + 2, 2):
+            m[i + 1] = nxt
+            if i == 0 or close(i):
+                yield from rec(i + 1)
+
+    yield from rec(0)
+
+
+def walk_outcome(walk, system, L, annihilate):
+    """Everything an m-vector walk yields, and its ValueError message or None."""
+    out = []
+    try:
+        for item in walk(system, L, annihilate):
+            out.append(item)
+    except ValueError as exc:
+        return out, str(exc)
+    return out, None
+
+
 def unpruned_walk(system, L):
     """Every m_hat = (L, m_1, ..., m_{t-1}) with the parities Q and the
     support bound m_{i+1} <= m_i + 1, in depth-first order (no pruning)."""

@@ -12,10 +12,10 @@ from fbpaths import (
     fermionic_terms, flat_sharp, groundstate_label, mn_solutions,
     gaussian, gaussian_modified, partition_series, rocha_caridi_truncated,
 )
-from fbpaths.characters import _iter_admissible_m
+from fbpaths.characters import _classical_tail, _iter_admissible_m
 from helpers import (
-    coprime_pairs, dense_exponents, dense_parity, leaf_filtered_walk, step_count,
-    unpruned_walk_size,
+    coprime_pairs, dense_exponents, dense_parity, leaf_filtered_walk, recursive_walk,
+    step_count, unpruned_walk_size, walk_outcome,
 )
 
 
@@ -347,6 +347,66 @@ def test_pruned_walk_equals_leaf_filtered_walk(data):
             for j in range(1, system.t):
                 prod = prod * gauss(m_hat[j] + n[j - 1], m_hat[j])
             assert term == prod.shift(term.min_exp())
+
+
+def takahashi_systems(ppmax):
+    """Every distinct system of Takahashi endpoints with p' <= ppmax, both readings."""
+    for p, pp in coprime_pairs(ppmax):
+        for a, b in product(takahashi_members(p, pp), repeat=2):
+            system = build_system(p, pp, a, b)
+            yield system
+            other = build_system(p, pp, a, b, prefer_t_prime=True)
+            if other != system:
+                yield other
+
+
+def test_flat_walk_equals_recursive_walk():
+    walks = 0
+    for system in takahashi_systems(16):
+        for L, annihilate in product(range(15), (False, True)):
+            assert walk_outcome(_iter_admissible_m, system, L, annihilate) == \
+                walk_outcome(recursive_walk, system, L, annihilate), (system.tak, L)
+            walks += 1
+    assert walks > 100_000
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_flat_walk_equals_recursive_walk_on_random_systems(data):
+    p, pp = data.draw(st.sampled_from(coprime_pairs(40)), label="(p, pp)")
+    members = takahashi_members(p, pp)
+    a = data.draw(st.sampled_from(members), label="a")
+    b = data.draw(st.sampled_from(members), label="b")
+    system = build_system(p, pp, a, b, data.draw(st.booleans(), label="tprime"))
+    # a bumped component of u leaves some band row odd: the walks must then
+    # raise the same ValueError after the same yields
+    j = data.draw(st.integers(-1, system.t - 1), label="bumped u_L index")
+    if j >= 0:
+        u_L = list(system.u_L)
+        u_L[j] += 1
+        system = dataclasses.replace(system, u_L=tuple(u_L))
+    L = data.draw(st.integers(0, 30), label="L")
+    annihilate = data.draw(st.booleans(), label="annihilate")
+    assert walk_outcome(_iter_admissible_m, system, L, annihilate) == \
+        walk_outcome(recursive_walk, system, L, annihilate)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_packed_sum_equals_sum_of_terms(data):
+    p, pp = data.draw(st.sampled_from(coprime_pairs(40)), label="(p, pp)")
+    members = takahashi_members(p, pp)
+    a = data.draw(st.sampled_from(members), label="a")
+    b = data.draw(st.sampled_from(members), label="b")
+    tprime = data.draw(st.booleans(), label="tprime")
+    odd = (a + b) % 2
+    L = data.draw(st.integers(0, (30 - odd) // 2).map(lambda k: 2 * k + odd), label="L")
+    system = build_system(p, pp, a, b, tprime)
+    for form, modified in ((fermionic_classical, False), (fermionic_modified, True)):
+        expected = QPoly.zero() if modified else _classical_tail(system, L)
+        for _, _, term in fermionic_terms(system, L, modified):
+            expected = expected + term
+        assert form(p, pp, a, b, L, prefer_t_prime=tprime) == expected
 
 
 @settings(max_examples=300, deadline=None)

@@ -193,6 +193,22 @@ def test_verify_identity_deterministic_and_parallel(capsys):
     assert strip(out1) == strip(out3)
 
 
+@pytest.mark.parametrize("forms", ["enumerate,enumerate", "bosonic,enumerate,bosonic"])
+def test_verify_identity_rejects_a_repeated_form(capsys, forms):
+    code, out, err = run(capsys, "verify", "identity", "--ppmax", "4", "--Lmax", "4",
+                         "--forms", forms)
+    assert code == 2 and out == ""
+    assert "twice" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("forms", ["bosonic", "fermionic-modified", ","])
+def test_verify_identity_needs_two_forms(capsys, forms):
+    code, out, err = run(capsys, "verify", "identity", "--ppmax", "4", "--Lmax", "4",
+                         "--forms", forms)
+    assert code == 2 and out == ""
+    assert "two or more forms" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("jobs", ["0", "-5", str((os.cpu_count() or 1) + 1), "1000000"])
 def test_verify_jobs_outside_the_cpu_count(capsys, monkeypatch, jobs):
     def no_pool(*args, **kwargs):
@@ -224,6 +240,13 @@ def test_usage_errors(capsys, tmp_path):
         code, out, err = run(capsys, "chi", route, "--p", "1", "--pp", "2",
                              "--a", "1", "--b", "1", "--L", "0")
         assert code == 2 and out == "" and "post-segment" in err
+    # (3,8), b = 2 is interfacial: the fermionic forms take c = 1 or c = 3 only
+    for c, want in (("1", 0), ("3", 0), ("9", 2), ("0", 2), ("-5", 2), ("5", 2)):
+        code, out, err = run(capsys, "chi", "fermionic", "--p", "3", "--pp", "8",
+                             "--a", "1", "--b", "2", "--L", "4", "--c", c)
+        assert code == want, c
+        if want:
+            assert out == "" and "c = 1 or 3" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("boundary", [5, "c", [3], None, {"c": None},
