@@ -11,7 +11,7 @@ constant-sign forms to particle counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, prod
 
 from .model import Model, TakahashiData, continued_fraction
@@ -145,6 +145,18 @@ class FermionicSystem:
         t = self.t
         return tuple(tuple({i - 1: -1, i: mid, i + 1: hi}.get(j, 0) for j in range(t))
                      for i, (mid, hi) in enumerate(self.band[first:first + t], first))
+
+    @cached_property
+    def exponent_rows(self) -> tuple[tuple[int, int, int], ...]:
+        """(mid_i, hi_{i-1} - 1, -2 w_i) for i = 0..t-1, with w = u_L^flat +
+        u_R^sharp, so 4 * exponent = gamma + sum_i m_i (mid_i m_i +
+        (hi_{i-1} - 1) m_{i-1} - 2 w_i).  Row 0 carries mid_0 - 1, which
+        takes in the -L^2 of m_0 = L, and has no neighbour or w term."""
+        w = [fl + sh for fl, sh in zip(flat_sharp(self.u_L, self.tak, "flat"),
+                                       flat_sharp(self.u_R, self.tak, "sharp"))]
+        band = self.band
+        return ((band[0][0] - 1, 0, 0),
+                *((band[i][0], band[i - 1][1] - 1, -2 * w[i - 1]) for i in range(1, self.t)))
 
     @property
     def C(self) -> tuple[tuple[int, ...], ...]:
@@ -302,18 +314,19 @@ def _iter_admissible_m(system: FermionicSystem, L: int, annihilate: bool = False
                 nxt[i] = Q[i]
 
 
-def _exponent(system: FermionicSystem, m_hat: tuple[int, ...], w: list[int]) -> int:
+def _exponent(system: FermionicSystem, m_hat: tuple[int, ...]) -> int:
     """(m_hat^T C m_hat - L^2 - 2 w.m + gamma)/4, where w = u_L^flat + u_R^sharp.
 
     Raises RuntimeError if the quadratic form is not divisible by 4.
     """
     # band row i of C gives mid*m_i^2 + hi*m_i*m_{i+1} - m_i*m_{i-1}, so each
-    # neighbour pair (i, i+1) carries hi_i - 1
-    band = system.band
-    quad = sum(mid * mi * mi for (mid, _), mi in zip(band, m_hat))
-    quad += sum((hi - 1) * mi * mj for (_, hi), mi, mj in zip(band, m_hat, m_hat[1:]))
-    lin = sum(w[j - 1] * m_hat[j] for j in range(1, system.t))
-    exp, frac = divmod(quad - m_hat[0] ** 2 - 2 * lin + system.gamma, 4)
+    # neighbour pair (i-1, i) carries hi_{i-1} - 1
+    quad = system.gamma
+    prev = 0
+    for (mid, lo, lin), mi in zip(system.exponent_rows, m_hat):
+        quad += mi * (mid * mi + lo * prev + lin)
+        prev = mi
+    exp, frac = divmod(quad, 4)
     if frac:
         raise RuntimeError(f"fermionic summand {m_hat} has a fractional exponent")
     return exp
@@ -323,10 +336,7 @@ def _summands(system: FermionicSystem, L: int, modified: bool):
     """(m_hat, n, exponent, keys) of each kept summand: q^exponent times the
     classical Gaussians [top over k] for keys (top, k) = (m_j + n_j, m_j > 0),
     since every other factor the walk keeps is 1 (m_j = 0) in both forms."""
-    tak = system.tak
-    w = [fl + sh for fl, sh in zip(flat_sharp(system.u_L, tak, "flat"),
-                                   flat_sharp(system.u_R, tak, "sharp"))]
-    return [(m_hat, n, _exponent(system, m_hat, w),
+    return [(m_hat, n, _exponent(system, m_hat),
              [(m + nj, m) for m, nj in zip(m_hat[1:], n) if m])
             for m_hat, n in _iter_admissible_m(system, L, annihilate=modified)]
 
@@ -366,6 +376,12 @@ def _classical_tail(system: FermionicSystem, L: int) -> QPoly:
     return QPoly.zero()
 
 
+@lru_cache(maxsize=4096)
+def _packed_gaussian(top: int, k: int, width: int) -> int:
+    """The classical Gaussian [top over k] packed at `width` bytes per coefficient."""
+    return pack(gaussian(top, k).terms.values(), width)
+
+
 def _fermionic(p: int, pp: int, a: int, b: int, L: int, modified: bool,
                prefer_t_prime: bool = False) -> QPoly:
     if L < 0 or (L + a - b) % 2:
@@ -379,14 +395,11 @@ def _fermionic(p: int, pp: int, a: int, b: int, L: int, modified: bool,
         bound = sum(prod(comb(*key) for key in keys) for *_, keys in summands)
         width = (bound.bit_length() + 7) // 8
         low = min(e for _, _, e, _ in summands)
-        packed = {}
         acc = 0
         for _, _, e, keys in summands:
             term = 1
-            for key in keys:
-                if key not in packed:
-                    packed[key] = pack(gaussian(*key).terms.values(), width)
-                term *= packed[key]
+            for top, k in keys:
+                term *= _packed_gaussian(top, k, width)
             acc += term << 8 * width * (e - low)
         coeffs = unpack(acc, width, -(-acc.bit_length() // (8 * width)))
         total.terms = {e: c for e, c in enumerate(coeffs, low) if c}

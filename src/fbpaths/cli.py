@@ -93,8 +93,11 @@ def run_verify_identity(ppmax: int, lmax: int, jobs: int, forms, out) -> int:
     tasks = list(iter_identity_tasks(ppmax, lmax, forms))
     if jobs > 1:
         from multiprocessing import Pool  # only the parallel sweep pays for it
+        # about 16 contiguous blocks per worker: neighbouring tasks share the
+        # model and (a, b, L), so a worker warms the caches of few models
+        chunksize = max(1, -(-len(tasks) // (16 * jobs)))
         with Pool(jobs) as pool:
-            records = pool.map(_identity_record, tasks, chunksize=16)
+            records = pool.map(_identity_record, tasks, chunksize=chunksize)
     else:
         records = [_identity_record(t) for t in tasks]
     records.sort(key=lambda r: (r["pp"], r["p"], r["a"], r["b"], r["c"], r["L"]))

@@ -150,7 +150,7 @@ def continued_fraction_digits(p: int, pp: int) -> tuple[int, ...]:
     return tuple(cf)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def continued_fraction(p: int, pp: int) -> TakahashiData:
     """Build the full Takahashi data for the (p, p') model."""
     cf = continued_fraction_digits(p, pp)

@@ -94,10 +94,11 @@ def postseg_path(p: int, pp: int, heights, c: int) -> Path:
 
 # -- vertex scoring ----------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _parity_table(model: Model) -> tuple[bool, ...]:
-    """par[h]: band h is odd, with out-of-grid bands 0 and p'-1 even."""
-    return (False, *map(bool, model.band_parities()), False)
+@lru_cache(maxsize=1024)
+def _parity_table(p: int, pp: int) -> tuple[bool, ...]:
+    """par[h]: band h of the (p, p') model is odd, with out-of-grid bands 0
+    and p'-1 even.  Keyed by the two ints, which hash without a Python call."""
+    return (False, *map(bool, Model(p, pp).band_parities()), False)
 
 
 def _score(par, heights, in_up: bool, out_up: bool, wing: bool) -> Score:
@@ -139,7 +140,7 @@ def _ends(boundary: PostSeg | Wings, b: int) -> tuple[bool, bool, bool]:
 
 def _path_score(path: Path) -> Score:
     hs = path.heights
-    return _score(_parity_table(path.model), hs, *_ends(path.boundary, hs[-1]))
+    return _score(_parity_table(path.model.p, path.model.pp), hs, *_ends(path.boundary, hs[-1]))
 
 
 def classify_vertex(path: Path, i: int) -> tuple[str, str, bool]:
@@ -159,7 +160,7 @@ def classify_vertex(path: Path, i: int) -> tuple[str, str, bool]:
     in_up = hs[i] > hs[i - 1] if i > 0 else first_up
     out_up = hs[i + 1] > hs[i] if i < L else last_up
     shape = (STRAIGHT_UP if out_up else PEAK_UP) if in_up else (PEAK_DOWN if out_up else STRAIGHT_DOWN)
-    par = _parity_table(path.model)
+    par = _parity_table(path.model.p, path.model.pp)
     _, (scoring,) = _score(par, hs[i:i + 1], in_up, out_up, wing and i == L)
     return shape, ("odd" if par[hs[i] if out_up else hs[i] - 1] else "even"), scoring
 
@@ -263,7 +264,7 @@ def _first_segment(path: Path) -> tuple[int, int]:
     segment (the post-segment when L = 0), d = 0 when that segment points NE."""
     hs = path.heights
     h1 = hs[1] if path.L else hs[0] + (1 if path.boundary.f == 0 else -1)
-    return int(_parity_table(path.model)[min(hs[0], h1)]), int(h1 < hs[0])
+    return int(_parity_table(path.model.p, path.model.pp)[min(hs[0], h1)]), int(h1 < hs[0])
 
 
 def path_stats(path: Path) -> PathStats:
@@ -324,14 +325,44 @@ def enumerate_paths(model: Model, a: int, b: int, boundary: PostSeg | Wings,
 
 # -- generating functions: a transfer-matrix recurrence over the vertices -----
 
-@lru_cache(maxsize=None)
-def _vertex_moves(model: Model) -> dict[tuple[int, bool, bool], tuple]:
+@lru_cache(maxsize=1024)
+def _vertex_moves(p: int, pp: int) -> dict[tuple[int, bool, bool], tuple]:
     """moves[h, in_up, wing]: (out_up, next height, scoring) both ways out of
-    height h, scoring as _score flags the one-vertex sequence (h,)."""
-    par = _parity_table(model)
+    height h, down first, scoring as _score flags the one-vertex sequence (h,)."""
+    par = _parity_table(p, pp)
     return {(h, i, w): tuple((o, h + 1 if o else h - 1, _score(par, (h,), i, o, w)[1][0])
                              for o in (False, True))
-            for h in range(1, model.pp) for i in (False, True) for w in (False, True)}
+            for h in range(1, pp) for i in (False, True) for w in (False, True)}
+
+
+@lru_cache(maxsize=256)
+def _transfer_prefix(p: int, pp: int, a: int, b: int, L: int, first_up: bool,
+                     attain: frozenset[int], by_m: bool) -> tuple[tuple[tuple, int], ...]:
+    """The states (h_L = b, direction into vertex L, bitmask of the `attain`
+    heights met before, m so far) after the vertices 0..L-1, each with its
+    packed polynomial, as (state, packed) pairs: everything but the final
+    vertex, which alone reads the boundary's c or f.
+    """
+    moves = _vertex_moves(p, pp)
+    bits = 8 * (L // 8 + 1)
+    bit = {s: 1 << k for k, s in enumerate(sorted(attain))}
+    states = {(a, first_up, 0, 0): 1}
+    for i in range(L):
+        # the heights from which b is still reachable
+        lo, hi = max(1, b - L + i + 1), min(pp - 1, b + L - i - 1)
+        nxt: dict[tuple[int, bool, int, int], int] = {}
+        for (h, in_up, mask, m), packed in states.items():
+            mask |= bit.get(h, 0)
+            for up, nh, scoring in moves[h, in_up, False]:
+                if lo <= nh <= hi:
+                    if scoring:
+                        key = (nh, up, mask, m)
+                        val = packed << bits * ((i - h + a) // 2 if in_up else (i + h - a) // 2)
+                    else:
+                        key, val = (nh, up, mask, m + by_m), packed
+                    nxt[key] = nxt.get(key, 0) + val
+        states = nxt
+    return tuple(states.items())
 
 
 def _transfer(model: Model, a: int, b: int, L: int, boundary: PostSeg | Wings,
@@ -344,6 +375,9 @@ def _transfer(model: Model, a: int, b: int, L: int, boundary: PostSeg | Wings,
     each packing its polynomial into one int, coefficient j at byte offset
     j * width: no count exceeds the 2^L paths, so L + 1 bits never carry.
     A scoring vertex shifts it by the vertex's coordinate (see _score).
+    Vertices 0..L-1 do not see c or f, so both endpoints c = b +- 1, or both
+    wings f, share one cached _transfer_prefix; here vertex L steps out to
+    b + 1 or b - 1, as its boundary says.
     """
     pp = model.pp
     if not all(0 < s < pp for s in attain):
@@ -351,30 +385,23 @@ def _transfer(model: Model, a: int, b: int, L: int, boundary: PostSeg | Wings,
     if not (0 < a < pp and 0 < b < pp) or L < 0 or (L + a - b) % 2 or abs(b - a) > L:
         return {}
     first_up, last_up, wing = _ends(boundary, b)
-    moves = _vertex_moves(model)
+    states = _transfer_prefix(model.p, pp, a, b, L, first_up, attain, by_m)
+    moves = _vertex_moves(model.p, pp)
     width = L // 8 + 1
     bits = 8 * width
-    bit = {s: 1 << k for k, s in enumerate(sorted(attain))}
-    states = {(a, first_up, 0, 0): 1}
-    for i in range(L + 1):
-        if i < L:  # the heights from which b is still reachable
-            lo, hi = max(1, b - L + i + 1), min(pp - 1, b + L - i - 1)
-        else:  # vertex L steps out to b + 1 or b - 1, as its boundary says
-            lo = hi = b + 1 if last_up else b - 1
-        nxt: dict[tuple[int, bool, int, int], int] = {}
-        for (h, in_up, mask, m), packed in states.items():
-            mask |= bit.get(h, 0)
-            for up, nh, scoring in moves[h, in_up, wing and i == L]:
-                if lo <= nh <= hi:
-                    if scoring:
-                        key = (nh, up, mask, m)
-                        val = packed << bits * ((i - h + a) // 2 if in_up else (i + h - a) // 2)
-                    else:
-                        key, val = (nh, up, mask, m + by_m), packed
-                    nxt[key] = nxt.get(key, 0) + val
-        states = nxt
+    full = (1 << len(attain)) - 1
+    at_b = 1 << sorted(attain).index(b) if b in attain else 0
+    sums: dict[int, int] = {}
+    for (_, in_up, mask, m), packed in states:
+        if mask | at_b == full:
+            _, _, scoring = moves[b, in_up, wing][last_up]
+            if scoring:
+                packed <<= bits * ((L - b + a) // 2 if in_up else (L + b - a) // 2)
+            else:
+                m += by_m
+            sums[m] = sums.get(m, 0) + packed
     return {m: QPoly(dict(enumerate(unpack(packed, width, -(-packed.bit_length() // bits)))))
-            for (_, _, mask, m), packed in states.items() if mask == (1 << len(bit)) - 1}
+            for m, packed in sums.items()}
 
 
 def chi(model: Model, a: int, b: int, c: int, L: int, attain=None) -> QPoly:
@@ -387,7 +414,7 @@ def chi(model: Model, a: int, b: int, c: int, L: int, attain=None) -> QPoly:
     return _transfer(model, a, b, L, PostSeg(c), frozenset(attain or ())).get(0, QPoly.zero())
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _chi_tilde_by_m(p: int, pp: int, a: int, b: int, e: int, f: int, L: int,
                     attain: frozenset[int]) -> dict[int, QPoly]:
     return _transfer(Model(p, pp), a, b, L, Wings(e, f), attain, by_m=True)

@@ -242,7 +242,7 @@ def _gaussian_coeffs(a: int, k: int) -> list[int]:
     return c
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def gaussian(a: int, b: int) -> QPoly:
     """Classical Gaussian polynomial [a over b]: (q)_a / ((q)_{a-b} (q)_b).
 
@@ -256,7 +256,7 @@ def gaussian(a: int, b: int) -> QPoly:
     return res
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def gaussian_modified(a: int, b: int) -> QPoly:
     """Modified Gaussian polynomial [a over b]': (q^{a-b+1})_b / (q)_b for b >= 0.
 

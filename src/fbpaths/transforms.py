@@ -39,7 +39,7 @@ def _require_wings(path: Path) -> Wings:
 
 def _score_wings(model: Model, heights, e: int, f: int) -> Score:
     """The Score of a winged height sequence."""
-    return _score(_parity_table(model), heights, e == 1, f == 0, True)
+    return _score(_parity_table(model.p, model.pp), heights, e == 1, f == 0, True)
 
 
 # -- path dilation -----------------------------------------------------------
@@ -193,10 +193,10 @@ def move_particle_once(model: Model, heights: list[int], score: Score, e: int, f
         v += 1
     if v + 2 > L:
         raise TransformError("particle at the path end cannot move right")
-    before = _dir_string(heights, v - 1, v + 3)
     new_heights, new_score = _rewrite_window(model, heights, score, e, f, v, (False, True, True), +1)
-    if trace is not None:
-        trace.append({"from_index": v, "move": before + ">" + _dir_string(new_heights, v - 1, v + 3)})
+    if trace is not None:  # _rewrite_window leaves `heights` as it was
+        trace.append({"from_index": v, "move": _dir_string(heights, v - 1, v + 3) + ">"
+                      + _dir_string(new_heights, v - 1, v + 3)})
     return new_heights, v + 1, new_score
 
 

@@ -32,7 +32,7 @@ def enumeration_tallies(model, a, b, L, boundaries, heights=()):
     a -> b one by one under each boundary.  Maps (boundary, m, met) to
     {weight: path count}, where m counts the non-scoring vertices and met is
     the set of `heights` the path attains."""
-    par = _parity_table(model)
+    par = _parity_table(model.p, model.pp)
     ends = [(bd, _ends(bd, b)) for bd in boundaries]
     heights = frozenset(heights)
     acc = {}

@@ -1,13 +1,14 @@
 """Bosonic and fermionic closed forms, the mn-system, truncated series."""
 
 import dataclasses
+import sys
 from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from fbpaths import (
-    Model, QPoly, bosonic, build_system, c_from_b, c_from_b_info, chi,
+    Model, QPoly, bosonic, build_system, c_from_b, c_from_b_info, chi, chi_tilde_by_m,
     continued_fraction, fermionic_classical, fermionic_modified,
     fermionic_terms, flat_sharp, groundstate_label, mn_solutions,
     gaussian, gaussian_modified, partition_series, rocha_caridi_truncated,
@@ -430,3 +431,33 @@ def test_three_routes_agree_at_large_L():
     assert fermionic_modified(p, pp, a, b, L) == bos
     assert all(c > 0 for c in bos.terms.values())
     assert sum(bos.terms.values()) == step_count(pp, a, b, L)
+
+
+def _clear_fbpaths_caches():
+    for name, mod in list(sys.modules.items()):
+        if name == "fbpaths" or name.startswith("fbpaths."):
+            for obj in vars(mod).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
+
+
+def test_results_do_not_depend_on_cache_state():
+    # wide (large-L) and narrow calls share Gaussians packed at different byte
+    # widths, and the list runs the wide ones first, so each kind warms the
+    # caches for the other in one of the two orders; the two wings e share a
+    # model, a, b and L but not a first vertex.  Each call must give the same
+    # result whichever calls warmed the caches.
+    model = Model(3, 8)
+    calls = []
+    for L in (33, 31, 5, 3):
+        calls += [(form, 3, 8, a, b, L) for form in (fermionic_classical, fermionic_modified)
+                  for a, b in ((1, 2), (2, 3))]
+        calls += [(chi, model, 1, 2, 1, L), (chi, model, 1, 2, 3, L), (chi, model, 2, 3, 4, L)]
+        calls += [(chi_tilde_by_m, model, a, b, e, f, L + (a + b + 1) % 2)
+                  for a, b in ((2, 3), (3, 3)) for e in (0, 1) for f in (0, 1)]
+    results = []
+    for order in (calls, calls[::-1]):
+        _clear_fbpaths_caches()
+        results.append({call: call[0](*call[1:]) for call in order})
+    assert results[0] == results[1]
+    assert all(results[0].values())  # every call has paths or summands

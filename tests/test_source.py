@@ -1,6 +1,6 @@
 """Source checks: library invariants raise explicit errors, so they still
-hold under python -O, every name the benchmark's tracer patches exists, and
-every library name has a caller."""
+hold under python -O, every cache is bounded, every name the benchmark's
+tracer patches exists, and every library name has a caller."""
 
 import ast
 import importlib
@@ -20,6 +20,23 @@ def test_library_has_no_asserts():
         for node in ast.walk(ast.parse(src.read_text(), filename=str(src))):
             if isinstance(node, ast.Assert) or \
                     (isinstance(node, ast.Name) and node.id == "AssertionError"):
+                found.append(f"{src.name}:{node.lineno}")
+    assert found == []
+
+
+def test_library_caches_are_bounded():
+    # lru_cache(maxsize=None), lru_cache(None) and functools.cache never evict
+    found = []
+    for src in SOURCES:
+        for node in ast.walk(ast.parse(src.read_text(), filename=str(src))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "lru_cache":
+                sizes = node.args[:1] + [kw.value for kw in node.keywords if kw.arg == "maxsize"]
+                if any(isinstance(v, ast.Constant) and v.value is None for v in sizes):
+                    found.append(f"{src.name}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "functools" and \
+                    any(alias.name == "cache" for alias in node.names) or \
+                    isinstance(node, ast.Attribute) and node.attr == "cache" and \
+                    getattr(node.value, "id", None) == "functools":
                 found.append(f"{src.name}:{node.lineno}")
     assert found == []
 
