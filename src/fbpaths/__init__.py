@@ -1,17 +1,14 @@
 """Exact combinatorics of weighted lattice paths in (p,p') band models."""
 
-from .qpoly import (
-    QPoly, box_partition_oracle, div_exact, gaussian, gaussian_modified,
-    pochhammer,
-)
+from .qpoly import QPoly, div_exact, gaussian, gaussian_modified
 from .model import (
     Model, TakahashiData, continued_fraction, continued_fraction_digits,
-    format_model_tables, submodel_parity_check,
+    format_model_tables,
 )
 from .paths import (
     Path, PathStats, PostSeg, StrikingSequence, Wings, chi, chi_tilde,
     chi_tilde_by_m, chi_tilde_restricted, classify_vertex,
-    enumerate_paths, iter_height_seqs, path_from_json, path_stats,
+    iter_height_seqs, path_from_json, path_stats,
     path_to_json, postseg_path, rebuild_path, striking_sequence,
     weight_from_striking, weight_wt, weight_wtilde, wings_path,
 )

@@ -1,11 +1,12 @@
 """Closed forms for the path generating functions.
 
-Three independent routes to the same polynomial: brute-force enumeration
-(module paths), the alternating-sign double sum with Gaussian factors, and
-two constant-sign quadratic-exponent sums driven by the Takahashi data (one
-with classical Gaussians plus a smaller-model tail, one with modified
-Gaussians and no tail).  The mn-system ties the summation vectors of the
-constant-sign forms to particle counts.
+Three independent routes to the same polynomial: the transfer-matrix
+recurrence over the vertices (module paths), the alternating-sign double
+sum with Gaussian factors, and two constant-sign quadratic-exponent sums
+driven by the Takahashi data (one with classical Gaussians plus a
+smaller-model tail, one with modified Gaussians and no tail), both added up
+by one packed kernel, _gaussian_sum.  The mn-system ties the summation
+vectors of the constant-sign forms to particle counts.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from functools import cached_property, lru_cache
 from math import comb, prod
 
 from .model import Model, TakahashiData, continued_fraction
-from .qpoly import QPoly, gaussian, kronecker_product, pack, unpack
+from .qpoly import QPoly, gaussian, pack, unpack_poly
 
 
 # -- alternating-sign (bosonic) form ------------------------------------------
@@ -122,10 +123,6 @@ class FermionicSystem:
     tak: TakahashiData
     a: int
     b: int
-    kind_L: str
-    kind_R: str
-    sigma_L: int
-    sigma_R: int
     u_L: tuple[int, ...]        # components 1..t at index j-1
     u_R: tuple[int, ...]
     delta_L: tuple[int, ...]
@@ -234,9 +231,7 @@ def build_system(p: int, pp: int, a: int, b: int,
         x[i - 1] = (mid * x[i] + hi * x[i + 1] - u_L[i - 1] - u_R[i - 1]) % 2
     trace = _gamma_iteration(band, delta_L, delta_R)
     return FermionicSystem(
-        tak=tak, a=a, b=b, kind_L=kind_L, kind_R=kind_R,
-        sigma_L=sigma_L, sigma_R=sigma_R,
-        u_L=u_L, u_R=u_R, delta_L=delta_L, delta_R=delta_R,
+        tak=tak, a=a, b=b, u_L=u_L, u_R=u_R, delta_L=delta_L, delta_R=delta_R,
         band=band, Q=tuple(x[:t]), trace=trace, gamma=trace.gamma[0],
     )
 
@@ -343,9 +338,8 @@ def _summands(system: FermionicSystem, L: int, modified: bool):
 
 def fermionic_terms(system: FermionicSystem, L: int, modified: bool):
     """Nonzero summands: a list of (m_hat, n, term polynomial)."""
-    return [(m_hat, n, QPoly(dict(enumerate(kronecker_product(
-                [gaussian(*key).terms.values() for key in keys]), low))))
-            for m_hat, n, low, keys in _summands(system, L, modified)]
+    return [(m_hat, n, _gaussian_sum([(e, keys)]))
+            for m_hat, n, e, keys in _summands(system, L, modified)]
 
 
 def mn_solutions(system: FermionicSystem, L: int) -> list[MnSolution]:
@@ -382,27 +376,31 @@ def _packed_gaussian(top: int, k: int, width: int) -> int:
     return pack(gaussian(top, k).terms.values(), width)
 
 
+def _gaussian_sum(terms) -> QPoly:
+    """The sum over (e, keys) of q^e times the classical Gaussians [top over k]
+    for (top, k) in keys, added on one packed int and unpacked once."""
+    if not terms:
+        return QPoly.zero()
+    # every factor has non-negative coefficients, so the sum's value at
+    # q = 1 bounds each coefficient of every partial product and of the sum
+    bound = sum(prod(comb(*key) for key in keys) for _, keys in terms)
+    width = (bound.bit_length() + 7) // 8
+    low = min(e for e, _ in terms)
+    acc = 0
+    for e, keys in terms:
+        term = 1
+        for top, k in keys:
+            term *= _packed_gaussian(top, k, width)
+        acc += term << 8 * width * (e - low)
+    return unpack_poly(acc, width, low)
+
+
 def _fermionic(p: int, pp: int, a: int, b: int, L: int, modified: bool,
                prefer_t_prime: bool = False) -> QPoly:
     if L < 0 or (L + a - b) % 2:
         return QPoly.zero()
     system = build_system(p, pp, a, b, prefer_t_prime)
-    summands = _summands(system, L, modified)
-    total = QPoly.zero()
-    if summands:
-        # every factor has non-negative coefficients, so the sum's value at
-        # q = 1 bounds each coefficient of every partial product and of the sum
-        bound = sum(prod(comb(*key) for key in keys) for *_, keys in summands)
-        width = (bound.bit_length() + 7) // 8
-        low = min(e for _, _, e, _ in summands)
-        acc = 0
-        for _, _, e, keys in summands:
-            term = 1
-            for top, k in keys:
-                term *= _packed_gaussian(top, k, width)
-            acc += term << 8 * width * (e - low)
-        coeffs = unpack(acc, width, -(-acc.bit_length() // (8 * width)))
-        total.terms = {e: c for e, c in enumerate(coeffs, low) if c}
+    total = _gaussian_sum([(e, keys) for *_, e, keys in _summands(system, L, modified)])
     return total if modified else total + _classical_tail(system, L)
 
 

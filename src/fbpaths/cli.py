@@ -200,12 +200,10 @@ def _parse_lambda(text: str) -> tuple[int, ...]:
 def _cmd_chi(args) -> int:
     model = Model(args.p, args.pp)
     if args.subcmd == "enumerate":
+        S = {int(x) for x in args.with_heights.split(",")} if args.with_heights else None
         if args.e is not None or args.f is not None:
             if args.e is None or args.f is None:
                 raise ValueError("winged enumeration needs both --e and --f")
-            S = None
-            if args.with_heights:
-                S = {int(x) for x in args.with_heights.split(",")}
             if S:
                 poly = chi_tilde_restricted(model, args.a, args.b, args.e, args.f,
                                             args.L, m=args.m, S=S)
@@ -215,7 +213,6 @@ def _cmd_chi(args) -> int:
             if args.m is not None:
                 raise ValueError("--m restricts winged enumeration; give --e and --f")
             c = args.c if args.c is not None else c_from_b(args.p, args.pp, args.b)
-            S = {int(x) for x in args.with_heights.split(",")} if args.with_heights else None
             poly = chi(model, args.a, args.b, c, args.L, attain=S)
     elif args.subcmd == "bosonic":
         c = args.c if args.c is not None else c_from_b(args.p, args.pp, args.b)

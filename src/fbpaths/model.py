@@ -185,19 +185,6 @@ def continued_fraction(p: int, pp: int) -> TakahashiData:
     return data
 
 
-def submodel_parity_check(model: Model) -> bool:
-    """Check that bands 1..y_n-2 of (p,p') match the (z_n, y_n) model.
-
-    The range is vacuous when y_n - 2 < 1 (in particular for n = 0).
-    """
-    tak = continued_fraction(model.p, model.pp)
-    yn, zn = tak.y_of(tak.n), tak.z_of(tak.n)
-    if yn - 2 < 1:
-        return True
-    sub = Model(zn, yn)
-    return all(model.band_parity(s) == sub.band_parity(s) for s in range(1, yn - 1))
-
-
 def format_model_tables(p: int, pp: int) -> str:
     """Human-readable dump of the band strip and Takahashi tables."""
     model = Model(p, pp)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .model import Model
-from .qpoly import QPoly, unpack
+from .qpoly import QPoly, unpack_poly
 
 STRAIGHT_UP = "straight-up"
 STRAIGHT_DOWN = "straight-down"
@@ -285,12 +285,7 @@ def path_stats(path: Path) -> PathStats:
     return PathStats(m=flags.count(False), alpha=hs[-1] - hs[0], beta=beta, pi=pi, d=d)
 
 
-def beta_closed_form(model: Model, a: int, b: int, e: int, f: int) -> int:
-    """floor(bp/p') - floor(ap/p') + f - e."""
-    return model.floor_mult(b) - model.floor_mult(a) + f - e
-
-
-# -- enumeration: the paths themselves, one by one ----------------------------
+# -- enumeration: the height sequences, one by one ---------------------------
 
 def iter_height_seqs(model: Model, a: int, b: int, L: int):
     """Yield every height tuple h_0..h_L from a to b (depth-first, pruned)."""
@@ -312,15 +307,6 @@ def iter_height_seqs(model: Model, a: int, b: int, L: int):
                 yield from rec(i + 1, nh)
 
     yield from rec(0, a)
-
-
-def enumerate_paths(model: Model, a: int, b: int, boundary: PostSeg | Wings,
-                    L: int, required=None) -> list[Path]:
-    """All paths with the given endpoints/boundary; with `required`, only those
-    attaining every height in the set.  Impossible parity gives an empty list."""
-    req = frozenset(required or ())
-    return [Path(model, hs, boundary) for hs in iter_height_seqs(model, a, b, L)
-            if req.issubset(hs)]
 
 
 # -- generating functions: a transfer-matrix recurrence over the vertices -----
@@ -400,8 +386,7 @@ def _transfer(model: Model, a: int, b: int, L: int, boundary: PostSeg | Wings,
             else:
                 m += by_m
             sums[m] = sums.get(m, 0) + packed
-    return {m: QPoly(dict(enumerate(unpack(packed, width, -(-packed.bit_length() // bits)))))
-            for m, packed in sums.items()}
+    return {m: unpack_poly(packed, width) for m, packed in sums.items()}
 
 
 def chi(model: Model, a: int, b: int, c: int, L: int, attain=None) -> QPoly:
@@ -422,11 +407,12 @@ def _chi_tilde_by_m(p: int, pp: int, a: int, b: int, e: int, f: int, L: int,
 
 def chi_tilde_by_m(model: Model, a: int, b: int, e: int, f: int, L: int,
                    attain=None) -> dict[int, QPoly]:
-    """Winged generating functions split by the non-scoring count m.  Wings
-    outside {0, 1} and attained heights off the grid raise ValueError."""
+    """Winged generating functions split by the non-scoring count m, as a
+    fresh dict.  Wings outside {0, 1} and attained heights off the grid raise
+    ValueError."""
     if not (0 < a < model.pp and 0 < b < model.pp):
         raise ValueError("heights a, b must lie in 1..p'-1")
-    return _chi_tilde_by_m(model.p, model.pp, a, b, e, f, L, frozenset(attain or ()))
+    return dict(_chi_tilde_by_m(model.p, model.pp, a, b, e, f, L, frozenset(attain or ())))
 
 
 def chi_tilde(model: Model, a: int, b: int, e: int, f: int, L: int,

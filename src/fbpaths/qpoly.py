@@ -11,20 +11,33 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate
+from types import MappingProxyType
 
 
 class QPoly:
     """Sparse Laurent polynomial over the integers.
 
-    ``terms`` maps exponent -> nonzero coefficient.  Instances are
-    treated as immutable: all arithmetic returns new objects, and equality
-    is term-map equality (canonical form has no zero coefficients).
+    ``terms`` is a read-only view of the map exponent -> nonzero
+    coefficient.  Instances are immutable: all arithmetic returns new
+    objects, so a cached result can be shared, and equality is term-map
+    equality (canonical form has no zero coefficients).
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: dict[int, int] | None = None):
-        self.terms = {e: c for e, c in (terms or {}).items() if c != 0}
+        self._terms = {e: c for e, c in (terms or {}).items() if c != 0}
+
+    @staticmethod
+    def _of(terms: dict[int, int]) -> QPoly:
+        """Wrap, without copying, a term map that has no zero coefficient."""
+        res = QPoly.__new__(QPoly)
+        res._terms = terms
+        return res
+
+    @property
+    def terms(self) -> MappingProxyType:
+        return MappingProxyType(self._terms)
 
     # -- constructors ------------------------------------------------------
 
@@ -44,105 +57,88 @@ class QPoly:
     # -- basic queries -----------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._terms)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
             other = QPoly({0: other})
         if not isinstance(other, QPoly):
             return NotImplemented
-        return self.terms == other.terms
+        return self._terms == other._terms
 
-    __hash__ = None  # mutable dict inside; not hashable
+    __hash__ = None
 
     def min_exp(self) -> int:
-        if not self.terms:
+        if not self._terms:
             raise ValueError("zero polynomial has no valuation")
-        return min(self.terms)
+        return min(self._terms)
 
     def coeff(self, exp: int) -> int:
         """Coefficient of q^exp."""
-        return self.terms.get(exp, 0)
+        return self._terms.get(exp, 0)
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: QPoly | int) -> QPoly:
         if isinstance(other, int):
             other = QPoly({0: other})
-        out = dict(self.terms)
-        for e, c in other.terms.items():
+        out = dict(self._terms)
+        for e, c in other._terms.items():
             s = out.get(e, 0) + c
             if s:
                 out[e] = s
             elif e in out:
                 del out[e]
-        res = QPoly.__new__(QPoly)
-        res.terms = out
-        return res
+        return QPoly._of(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> QPoly:
-        res = QPoly.__new__(QPoly)
-        res.terms = {e: -c for e, c in self.terms.items()}
-        return res
+        return QPoly._of({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: QPoly | int) -> QPoly:
         if isinstance(other, int):
             other = QPoly({0: other})
         return self + (-other)
 
-    def __rsub__(self, other: int) -> QPoly:
-        return QPoly({0: other}) - self
-
     def __mul__(self, other: QPoly | int) -> QPoly:
         if isinstance(other, int):
             if other == 0:
                 return QPoly()
-            res = QPoly.__new__(QPoly)
-            res.terms = {e: other * c for e, c in self.terms.items()}
-            return res
+            return QPoly._of({e: other * c for e, c in self._terms.items()})
         out: dict[int, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        for e1, c1 in self._terms.items():
+            for e2, c2 in other._terms.items():
                 e = e1 + e2
                 s = out.get(e, 0) + c1 * c2
                 if s:
                     out[e] = s
                 elif e in out:
                     del out[e]
-        res = QPoly.__new__(QPoly)
-        res.terms = out
-        return res
+        return QPoly._of(out)
 
     __rmul__ = __mul__
 
     def shift(self, exp: int) -> QPoly:
         """Multiply by q^exp: add exp to every exponent."""
-        res = QPoly.__new__(QPoly)
-        res.terms = {e + exp: c for e, c in self.terms.items()}
-        return res
+        return QPoly._of({e + exp: c for e, c in self._terms.items()})
 
     def invert_q(self) -> QPoly:
         """Substitute q -> 1/q (negate every exponent)."""
-        res = QPoly.__new__(QPoly)
-        res.terms = {-e: c for e, c in self.terms.items()}
-        return res
+        return QPoly._of({-e: c for e, c in self._terms.items()})
 
     def truncate(self, max_degree: int) -> QPoly:
         """Drop every term of degree above max_degree."""
-        res = QPoly.__new__(QPoly)
-        res.terms = {e: c for e, c in self.terms.items() if e <= max_degree}
-        return res
+        return QPoly._of({e: c for e, c in self._terms.items() if e <= max_degree})
 
     # -- display / serialization -------------------------------------------
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self._terms:
             return "0"
         bits = []
-        for e in sorted(self.terms):
-            c = self.terms[e]
+        for e in sorted(self._terms):
+            c = self._terms[e]
             if e == 0:
                 bits.append(str(c))
                 continue
@@ -160,7 +156,7 @@ class QPoly:
 
     def to_json_dict(self) -> dict[str, str]:
         """JSON form: {"exponent": "coefficient"}, ascending."""
-        return {str(e): str(c) for e, c in sorted(self.terms.items())}
+        return {str(e): str(c) for e, c in sorted(self._terms.items())}
 
     @staticmethod
     def from_json_dict(d: dict[str, str]) -> QPoly:
@@ -182,9 +178,9 @@ def div_exact(num: QPoly, den: QPoly) -> QPoly:
         return QPoly()
     nv = num.min_exp()
     dv = den.min_exp()
-    d = {e - dv: c for e, c in den.terms.items()}
+    d = {e - dv: c for e, c in den._terms.items()}
     dmax = max(d)
-    rem = {e - nv: c for e, c in num.terms.items()}
+    rem = {e - nv: c for e, c in num._terms.items()}
     top = max(rem)
     lead = d[0]
     quot: dict[int, int] = {}
@@ -207,17 +203,7 @@ def div_exact(num: QPoly, den: QPoly) -> QPoly:
     return QPoly(quot).shift(nv - dv)
 
 
-# -- q-Pochhammer and Gaussian polynomials -----------------------------------
-
-def pochhammer(z_power: int, n: int) -> QPoly:
-    """(z)_n = prod_{i=0}^{n-1} (1 - z q^i) with z = q^z_power."""
-    if n < 0:
-        raise ValueError("pochhammer needs n >= 0")
-    out = QPoly.one()
-    for i in range(n):
-        out = out * (QPoly.one() - QPoly.q_int(z_power + i))
-    return out
-
+# -- Gaussian polynomials ----------------------------------------------------
 
 def _gaussian_coeffs(a: int, k: int) -> list[int]:
     """Coefficients of [a over k] for 0 <= k <= a, ascending from q^0.
@@ -251,9 +237,7 @@ def gaussian(a: int, b: int) -> QPoly:
     """
     if not 0 <= b <= a:
         return QPoly.zero()
-    res = QPoly.__new__(QPoly)
-    res.terms = dict(enumerate(_gaussian_coeffs(a, b)))
-    return res
+    return QPoly._of(dict(enumerate(_gaussian_coeffs(a, b))))
 
 
 @lru_cache(maxsize=4096)
@@ -267,31 +251,9 @@ def gaussian_modified(a: int, b: int) -> QPoly:
     """
     if a >= 0 or b < 0:
         return gaussian(a, b)
-    res = QPoly.__new__(QPoly)
     sign = -1 if b % 2 else 1
     low = b * (2 * a - b + 1) // 2
-    res.terms = {e: sign * c for e, c in enumerate(_gaussian_coeffs(b - a - 1, b), low)}
-    return res
-
-
-def kronecker_product(factors) -> list[int]:
-    """Product of dense polynomials with non-negative integer coefficients.
-
-    Each factor is a sized iterable of coefficients, ascending from q^0 with
-    no gaps (the term values of a ``gaussian`` result qualify).  Each factor
-    is packed into one big int at a byte width that holds the product of the
-    factors' values at q = 1, which bounds every coefficient in sight; the
-    ints are multiplied and the result is unpacked: no coefficient can carry
-    into its neighbour.
-    """
-    bound = 1
-    for coeffs in factors:
-        bound *= max(1, sum(coeffs))
-    width = (bound.bit_length() + 7) // 8
-    acc = 1
-    for coeffs in factors:
-        acc *= pack(coeffs, width)
-    return unpack(acc, width, sum(len(coeffs) - 1 for coeffs in factors) + 1)
+    return QPoly._of({e: sign * c for e, c in enumerate(_gaussian_coeffs(b - a - 1, b), low)})
 
 
 def pack(coeffs, width: int) -> int:
@@ -299,39 +261,9 @@ def pack(coeffs, width: int) -> int:
     return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in coeffs), "little")
 
 
-def unpack(packed: int, width: int, n: int) -> list[int]:
-    """The n coefficients of width bytes each packed into an int, low first."""
-    raw = packed.to_bytes(width * n, "little")
-    return [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
-
-
-def box_partition_oracle(k: int, m: int) -> QPoly:
-    """Sum of q^|lam| over partitions with at most k parts, each part <= m.
-
-    Brute-force generation; the independent cross-check for gaussian(m+k, m).
-    """
-    if k < 0 or m < 0:
-        raise ValueError("box_partition_oracle needs k, m >= 0")
-    counts: dict[int, int] = {}
-
-    def gen(parts_left: int, part_max: int, total: int) -> None:
-        counts[total] = counts.get(total, 0) + 1
-        if parts_left == 0:
-            return
-        for x in range(1, part_max + 1):
-            gen(parts_left - 1, x, total + x)
-
-    gen(k, m, 0)
-    return QPoly(counts)
-
-
-def partitions_in_box(k: int, m: int):
-    """Yield every partition with at most k parts, parts <= m (as tuples)."""
-    def gen(prefix: tuple[int, ...], parts_left: int, part_max: int):
-        yield prefix
-        if parts_left == 0:
-            return
-        for x in range(1, part_max + 1):
-            yield from gen(prefix + (x,), parts_left - 1, x)
-
-    yield from gen((), k, m)
+def unpack_poly(packed: int, width: int, low: int = 0) -> QPoly:
+    """The polynomial whose coefficients, from q^low up, are packed width
+    bytes each into a non-negative int: the inverse of pack, zeros dropped."""
+    raw = packed.to_bytes(width * -(-packed.bit_length() // (8 * width)), "little")
+    coeffs = [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
+    return QPoly._of({e: c for e, c in enumerate(coeffs, low) if c})

@@ -410,7 +410,7 @@ def _first_mismatch(lhs: QPoly, rhs: QPoly):
         return None
     exps = sorted(set(lhs.terms) | set(rhs.terms))
     for ex in exps:
-        cl, cr = lhs.terms.get(ex, 0), rhs.terms.get(ex, 0)
+        cl, cr = lhs.coeff(ex), rhs.coeff(ex)
         if cl != cr:
             return ex, cl, cr
     return None

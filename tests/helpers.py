@@ -5,8 +5,8 @@ from itertools import product
 from hypothesis import strategies as st
 
 from fbpaths import (
-    Model, Path, PathStats, QPoly, TransformError, Wings, flat_sharp,
-    iter_height_seqs, striking_sequence,
+    Model, Path, PathStats, QPoly, TransformError, Wings, continued_fraction,
+    flat_sharp, iter_height_seqs, striking_sequence,
 )
 from fbpaths.model import coprime_pairs
 from fbpaths.paths import _ends, _first_segment, _parity_table, _score, rebuild_heights
@@ -295,3 +295,73 @@ def step_count(pp, a, b, L):
                     nxt[nh] = nxt.get(nh, 0) + w
         ways = nxt
     return ways.get(b, 0)
+
+
+# -- reference oracles: brute force and closed forms the library cross-checks
+
+def pochhammer(z_power, n):
+    """(z)_n = prod_{i=0}^{n-1} (1 - z q^i) with z = q^z_power."""
+    if n < 0:
+        raise ValueError("pochhammer needs n >= 0")
+    out = QPoly.one()
+    for i in range(n):
+        out = out * (QPoly.one() - QPoly.q_int(z_power + i))
+    return out
+
+
+def box_partition_oracle(k, m):
+    """Sum of q^|lam| over partitions with at most k parts, each part <= m.
+
+    Brute-force generation; the independent cross-check for gaussian(m+k, m).
+    """
+    if k < 0 or m < 0:
+        raise ValueError("box_partition_oracle needs k, m >= 0")
+    counts = {}
+
+    def gen(parts_left, part_max, total):
+        counts[total] = counts.get(total, 0) + 1
+        if parts_left == 0:
+            return
+        for x in range(1, part_max + 1):
+            gen(parts_left - 1, x, total + x)
+
+    gen(k, m, 0)
+    return QPoly(counts)
+
+
+def partitions_in_box(k, m):
+    """Yield every partition with at most k parts, parts <= m (as tuples)."""
+    def gen(prefix, parts_left, part_max):
+        yield prefix
+        if parts_left == 0:
+            return
+        for x in range(1, part_max + 1):
+            yield from gen(prefix + (x,), parts_left - 1, x)
+
+    yield from gen((), k, m)
+
+
+def enumerate_paths(model, a, b, boundary, L, required=None):
+    """All paths with the given endpoints/boundary; with `required`, only those
+    attaining every height in the set.  Impossible parity gives an empty list."""
+    req = frozenset(required or ())
+    return [Path(model, hs, boundary) for hs in iter_height_seqs(model, a, b, L)
+            if req.issubset(hs)]
+
+
+def beta_closed_form(model, a, b, e, f):
+    """floor(bp/p') - floor(ap/p') + f - e: the statistic beta of a winged path."""
+    return model.floor_mult(b) - model.floor_mult(a) + f - e
+
+
+def submodel_parity_check(model):
+    """Check that bands 1..y_n-2 of (p,p') match the (z_n, y_n) model.
+
+    The range is vacuous when y_n - 2 < 1 (in particular for n = 0).
+    """
+    tak = continued_fraction(model.p, model.pp)
+    yn, zn = tak.y_of(tak.n), tak.z_of(tak.n)
+    if yn - 2 < 1:
+        return True
+    sub = Model(zn, yn)
+    return all(model.band_parity(s) == sub.band_parity(s) for s in range(1, yn - 1))

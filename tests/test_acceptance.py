@@ -11,19 +11,19 @@ from pathlib import Path as FsPath
 
 from fbpaths import (
     Model, Path, QPoly, Wings, b1, b2, b3, b_transform, bd_transform, bosonic,
-    box_partition_oracle, build_system, c_from_b, chi, classify_vertex,
-    continued_fraction, d_transform, decompose, fermionic_classical,
-    fermionic_modified, fermionic_terms, gaussian, gaussian_modified,
-    groundstate_label, iter_height_seqs, path_from_json, path_stats,
-    rebuild_path, rocha_caridi_truncated, striking_sequence,
-    submodel_parity_check, truncate_left, truncate_right, verify_b_bijection,
-    verify_bd_bijection, weight_from_striking, weight_wt, weight_wtilde,
-    wings_path,
+    build_system, c_from_b, chi, classify_vertex, continued_fraction,
+    d_transform, decompose, fermionic_classical, fermionic_modified,
+    fermionic_terms, gaussian, gaussian_modified, groundstate_label,
+    iter_height_seqs, path_from_json, path_stats, rebuild_path,
+    rocha_caridi_truncated, striking_sequence, truncate_left, truncate_right,
+    verify_b_bijection, verify_bd_bijection, weight_from_striking, weight_wt,
+    weight_wtilde, wings_path,
 )
-from fbpaths.paths import beta_closed_form
 from fbpaths.transforms import TransformError, extend_left, extend_right
-from fbpaths.qpoly import partitions_in_box
-from helpers import coprime_pairs, winged_paths
+from helpers import (
+    beta_closed_form, box_partition_oracle, coprime_pairs, partitions_in_box,
+    submodel_parity_check, winged_paths,
+)
 
 FIXTURES = FsPath(__file__).parent / "fixtures"
 

@@ -13,7 +13,7 @@ from fbpaths import (
     fermionic_terms, flat_sharp, groundstate_label, mn_solutions,
     gaussian, gaussian_modified, partition_series, rocha_caridi_truncated,
 )
-from fbpaths.characters import _classical_tail, _iter_admissible_m
+from fbpaths.characters import _classical_tail, _iter_admissible_m, _summands
 from helpers import (
     coprime_pairs, dense_exponents, dense_parity, leaf_filtered_walk, recursive_walk,
     step_count, unpruned_walk_size, walk_outcome,
@@ -404,8 +404,17 @@ def test_packed_sum_equals_sum_of_terms(data):
     L = data.draw(st.integers(0, (30 - odd) // 2).map(lambda k: 2 * k + odd), label="L")
     system = build_system(p, pp, a, b, tprime)
     for form, modified in ((fermionic_classical, False), (fermionic_modified, True)):
+        # each summand as a sparse product of its Gaussians, apart from the
+        # packed kernel that both fermionic_terms and the forms go through
+        terms = []
+        for m_hat, n, e, keys in _summands(system, L, modified):
+            term = QPoly.one()
+            for key in keys:
+                term = term * gaussian(*key)
+            terms.append((m_hat, n, term.shift(e)))
+        assert fermionic_terms(system, L, modified) == terms
         expected = QPoly.zero() if modified else _classical_tail(system, L)
-        for _, _, term in fermionic_terms(system, L, modified):
+        for _, _, term in terms:
             expected = expected + term
         assert form(p, pp, a, b, L, prefer_t_prime=tprime) == expected
 
@@ -461,3 +470,27 @@ def test_results_do_not_depend_on_cache_state():
         results.append({call: call[0](*call[1:]) for call in order})
     assert results[0] == results[1]
     assert all(results[0].values())  # every call has paths or summands
+
+
+def test_changing_a_result_does_not_change_later_results():
+    # cached values are shared between calls, so no caller may change one
+    model = Model(3, 8)
+    calls = [(gaussian, 4, 2), (gaussian_modified, -3, 2), (chi, model, 1, 2, 3, 5),
+             (bosonic, 3, 8, 1, 2, 3, 5), (fermionic_classical, 3, 8, 1, 2, 5),
+             (fermionic_modified, 3, 8, 1, 2, 5)]
+    for fn, *args in calls:
+        result = fn(*args)
+        original = QPoly(result.terms)
+        assert original
+        with pytest.raises(TypeError):
+            result.terms[0] = 7
+        with pytest.raises(TypeError):
+            del result.terms[original.min_exp()]
+        with pytest.raises(AttributeError):
+            result.terms = {}
+        assert fn(*args) == original
+    table = chi_tilde_by_m(model, 2, 3, 0, 0, 5)
+    original = dict(table)
+    assert original
+    table.clear()
+    assert chi_tilde_by_m(model, 2, 3, 0, 0, 5) == original

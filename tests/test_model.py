@@ -4,8 +4,8 @@ from itertools import product
 
 import pytest
 
-from fbpaths import Model, continued_fraction, submodel_parity_check
-from helpers import coprime_pairs
+from fbpaths import Model, continued_fraction
+from helpers import coprime_pairs, submodel_parity_check
 
 
 def test_band_parity_3_8():

@@ -9,15 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 from fbpaths import (
     Model, Path, PostSeg, QPoly, Wings, chi, chi_tilde, chi_tilde_by_m,
-    chi_tilde_restricted, classify_vertex, d_transform,
-    enumerate_paths, iter_height_seqs, path_from_json, path_stats,
-    path_to_json, postseg_path, rebuild_path, striking_sequence,
-    weight_from_striking, weight_wt, weight_wtilde, wings_path,
+    chi_tilde_restricted, classify_vertex, d_transform, iter_height_seqs,
+    path_from_json, path_stats, path_to_json, postseg_path, rebuild_path,
+    striking_sequence, weight_from_striking, weight_wt, weight_wtilde,
+    wings_path,
 )
-from fbpaths.paths import beta_closed_form
 from helpers import (
-    coprime_pairs, enumeration_tallies, random_winged_walk, step_count, tallied,
-    tallied_by_m, winged_paths,
+    beta_closed_form, coprime_pairs, enumerate_paths, enumeration_tallies,
+    random_winged_walk, step_count, tallied, tallied_by_m, winged_paths,
 )
 
 FIXTURES = FsPath(__file__).parent / "fixtures"

@@ -1,15 +1,14 @@
 """Polynomial core: ring laws, Gaussian polynomials and their oracle."""
 
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fbpaths import (
-    QPoly, box_partition_oracle, div_exact, gaussian, gaussian_modified,
-    pochhammer,
-)
-from fbpaths.qpoly import kronecker_product
+from fbpaths import QPoly, div_exact, gaussian, gaussian_modified
+from fbpaths.qpoly import pack, unpack_poly
+from helpers import box_partition_oracle, pochhammer
 
 ONE = QPoly.one()
 Q = QPoly.q_int(1)
@@ -161,9 +160,21 @@ def test_gaussian_modified_matches_pochhammer_quotient(a, b):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.lists(st.integers(0, 2 ** 70), min_size=1, max_size=12), max_size=4))
 def test_kronecker_product_matches_sparse_product(factors):
+    # pack -> one big-int product -> unpack_poly, at the byte width of the
+    # product's value at q = 1, which bounds every coefficient
     expected = QPoly.one()
+    bound = acc = 1
     for coeffs in factors:
         expected = expected * QPoly(dict(enumerate(coeffs)))
-    dense = kronecker_product(factors)
-    assert len(dense) == 1 + sum(len(c) - 1 for c in factors)
-    assert QPoly(dict(enumerate(dense))) == expected
+        bound *= max(1, sum(coeffs))
+    width = (bound.bit_length() + 7) // 8
+    for coeffs in factors:
+        acc *= pack(coeffs, width)
+    assert unpack_poly(acc, width) == expected
+    assert unpack_poly(acc, width, -3) == expected.shift(-3)
+
+
+def test_qpoly_pickles():
+    # the term map sits in a private slot behind the read-only terms view
+    for p in (gaussian(4, 2).shift(-1) - 3, QPoly.zero()):
+        assert pickle.loads(pickle.dumps(p)) == p

@@ -13,13 +13,12 @@ from fbpaths import (
     wings_path,
 )
 from fbpaths.paths import _score
-from fbpaths.qpoly import partitions_in_box
 from fbpaths.transforms import (
     _rewrite_window, _score_wings, move_particle_once, reverse_particle_move,
 )
 from helpers import (
-    coprime_pairs, random_winged_walk, refill_search, striking_b1,
-    striking_path_stats, winged_paths,
+    coprime_pairs, partitions_in_box, random_winged_walk, refill_search,
+    striking_b1, striking_path_stats, winged_paths,
 )
 
 FIG1 = (2, 3, 4, 5, 4, 5, 6, 7, 6, 5, 6, 5, 4, 3, 4)
