@@ -4,9 +4,9 @@ Three independent routes to the same polynomial: the transfer-matrix
 recurrence over the vertices (module paths), the alternating-sign double
 sum with Gaussian factors, and two constant-sign quadratic-exponent sums
 driven by the Takahashi data (one with classical Gaussians plus a
-smaller-model tail, one with modified Gaussians and no tail), both added up
-by one packed kernel, _gaussian_sum.  The mn-system ties the summation
-vectors of the constant-sign forms to particle counts.
+smaller-model tail, one with modified Gaussians and no tail): one walk and
+one packed kernel, _gaussian_sum, give both, cached as a bounded pair.  The
+mn-system ties the summation vectors to particle counts.
 """
 
 from __future__ import annotations
@@ -273,7 +273,7 @@ def _iter_admissible_m(system: FermionicSystem, L: int, annihilate: bool = False
     """
     t = system.t
     Q = system.Q
-    if L % 2 != Q[0]:
+    if L < 0 or L % 2 != Q[0]:
         return
     u = [x + y for x, y in zip(system.u_L, system.u_R)]
     band = system.band
@@ -327,25 +327,24 @@ def _exponent(system: FermionicSystem, m_hat: tuple[int, ...]) -> int:
     return exp
 
 
-def _summands(system: FermionicSystem, L: int, modified: bool):
-    """(m_hat, n, exponent, keys) of each kept summand: q^exponent times the
-    classical Gaussians [top over k] for keys (top, k) = (m_j + n_j, m_j > 0),
-    since every other factor the walk keeps is 1 (m_j = 0) in both forms."""
+def _summands(system: FermionicSystem, L: int):
+    """(m_hat, n, exponent, keys, kept) of each modified summand: q^exponent
+    times the classical Gaussians [top over k] for keys (top, k) = (m_j + n_j,
+    m_j > 0), as every other factor is [n_j over 0]' = 1.  The classical form
+    keeps exactly the summands with every n_j >= 0 (kept)."""
     return [(m_hat, n, _exponent(system, m_hat),
-             [(m + nj, m) for m, nj in zip(m_hat[1:], n) if m])
-            for m_hat, n in _iter_admissible_m(system, L, annihilate=modified)]
+             [(m + nj, m) for m, nj in zip(m_hat[1:], n) if m], min(n) >= 0)
+            for m_hat, n in _iter_admissible_m(system, L, annihilate=True)]
 
 
 def fermionic_terms(system: FermionicSystem, L: int, modified: bool):
     """Nonzero summands: a list of (m_hat, n, term polynomial)."""
     return [(m_hat, n, _gaussian_sum([(e, keys)]))
-            for m_hat, n, e, keys in _summands(system, L, modified)]
+            for m_hat, n, e, keys, kept in _summands(system, L) if kept or modified]
 
 
 def mn_solutions(system: FermionicSystem, L: int) -> list[MnSolution]:
     """All (m_hat, n) with every n_i a non-negative integer and m >= 0."""
-    if L < 0:
-        return []
     return [MnSolution(m_hat, n) for m_hat, n in _iter_admissible_m(system, L)]
 
 
@@ -395,13 +394,22 @@ def _gaussian_sum(terms) -> QPoly:
     return unpack_poly(acc, width, low)
 
 
+@lru_cache(maxsize=64)
+def _fermionic_sums(p: int, pp: int, a: int, b: int, L: int, prefer_t_prime: bool):
+    """(classical sum without its tail, modified sum): kept plus annihilated."""
+    terms = _summands(build_system(p, pp, a, b, prefer_t_prime), L)
+    kept = _gaussian_sum([(e, keys) for *_, e, keys, k in terms if k])
+    return kept, kept + _gaussian_sum([(e, keys) for *_, e, keys, k in terms if not k])
+
+
 def _fermionic(p: int, pp: int, a: int, b: int, L: int, modified: bool,
                prefer_t_prime: bool = False) -> QPoly:
     if L < 0 or (L + a - b) % 2:
         return QPoly.zero()
-    system = build_system(p, pp, a, b, prefer_t_prime)
-    total = _gaussian_sum([(e, keys) for *_, e, keys in _summands(system, L, modified)])
-    return total if modified else total + _classical_tail(system, L)
+    kept, total = _fermionic_sums(p, pp, a, b, L, prefer_t_prime)
+    if modified:
+        return total
+    return kept + _classical_tail(build_system(p, pp, a, b, prefer_t_prime), L)
 
 
 def fermionic_classical(p: int, pp: int, a: int, b: int, L: int,

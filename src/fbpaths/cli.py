@@ -321,6 +321,8 @@ def main(argv=None) -> int:
         cpus = os.cpu_count() or 1
         if not 1 <= args.jobs <= cpus:
             raise ValueError(f"--jobs must lie in 1..{cpus}")
+        if next(iter_identity_tasks(args.ppmax, args.Lmax, forms), None) is None:
+            raise ValueError(f"the sweep grid p' <= {args.ppmax}, L <= {args.Lmax} is empty")
         if args.output:
             with open(args.output, "w") as fh:
                 return run_verify_identity(args.ppmax, args.Lmax, args.jobs, forms, fh)

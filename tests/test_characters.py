@@ -392,6 +392,29 @@ def test_flat_walk_equals_recursive_walk_on_random_systems(data):
         walk_outcome(recursive_walk, system, L, annihilate)
 
 
+def test_classical_summands_are_the_modified_ones_without_annihilation():
+    # one walk gives both forms: the summands it flags kept must be what the
+    # classical walk, without annihilation, yields, in the same order
+    for system in takahashi_systems(10):
+        for L in range(13):
+            summands = _summands(system, L)
+            kept = [(m_hat, n) for m_hat, n, *_, flag in summands if flag]
+            assert kept == list(recursive_walk(system, L)), (system.tak, system.a, system.b, L)
+            assert [(m_hat, n) for m_hat, n, _ in fermionic_terms(system, L, False)] == kept
+
+
+def test_negative_length_has_no_summand():
+    for p, pp in ((3, 8), (2, 5), (1, 5)):
+        members = takahashi_members(p, pp)
+        for a, b, L in product(members, members, range(-4, 0)):
+            system = build_system(p, pp, a, b)
+            assert mn_solutions(system, L) == []
+            assert fermionic_terms(system, L, modified=False) == []
+            assert fermionic_terms(system, L, modified=True) == []
+            assert fermionic_classical(p, pp, a, b, L) == QPoly.zero()
+            assert fermionic_modified(p, pp, a, b, L) == QPoly.zero()
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_packed_sum_equals_sum_of_terms(data):
@@ -403,11 +426,15 @@ def test_packed_sum_equals_sum_of_terms(data):
     odd = (a + b) % 2
     L = data.draw(st.integers(0, (30 - odd) // 2).map(lambda k: 2 * k + odd), label="L")
     system = build_system(p, pp, a, b, tprime)
+    summands = _summands(system, L)
     for form, modified in ((fermionic_classical, False), (fermionic_modified, True)):
         # each summand as a sparse product of its Gaussians, apart from the
-        # packed kernel that both fermionic_terms and the forms go through
+        # packed kernel that both fermionic_terms and the forms go through;
+        # the classical form has no annihilated particle (n_j < 0)
         terms = []
-        for m_hat, n, e, keys in _summands(system, L, modified):
+        for m_hat, n, e, keys, _ in summands:
+            if not (modified or all(v >= 0 for v in n)):
+                continue
             term = QPoly.one()
             for key in keys:
                 term = term * gaussian(*key)
@@ -454,13 +481,19 @@ def test_results_do_not_depend_on_cache_state():
     # wide (large-L) and narrow calls share Gaussians packed at different byte
     # widths, and the list runs the wide ones first, so each kind warms the
     # caches for the other in one of the two orders; the two wings e share a
-    # model, a, b and L but not a first vertex.  Each call must give the same
+    # model, a, b and L but not a first vertex.  The two fermionic forms of
+    # one (a, b, L) share one walk, so each form runs right after the other
+    # in one of the orders, and the two Takahashi readings of (1,5) give
+    # different sums for the same (a, b, L).  Each call must give the same
     # result whichever calls warmed the caches.
     model = Model(3, 8)
     calls = []
     for L in (33, 31, 5, 3):
-        calls += [(form, 3, 8, a, b, L) for form in (fermionic_classical, fermionic_modified)
-                  for a, b in ((1, 2), (2, 3))]
+        calls += [(form, 3, 8, a, b, L) for a, b in ((1, 2), (2, 3))
+                  for form in (fermionic_classical, fermionic_modified)]
+        calls += [(form, 1, 5, a, b, L, tprime) for a, b in ((1, 2), (2, 3))
+                  for tprime in (False, True)
+                  for form in (fermionic_modified, fermionic_classical)]
         calls += [(chi, model, 1, 2, 1, L), (chi, model, 1, 2, 3, L), (chi, model, 2, 3, 4, L)]
         calls += [(chi_tilde_by_m, model, a, b, e, f, L + (a + b + 1) % 2)
                   for a, b in ((2, 3), (3, 3)) for e in (0, 1) for f in (0, 1)]

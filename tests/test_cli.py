@@ -193,6 +193,24 @@ def test_verify_identity_deterministic_and_parallel(capsys):
     assert strip(out1) == strip(out3)
 
 
+@pytest.mark.parametrize("grid", [("--ppmax", "-3"), ("--ppmax", "2"), ("--Lmax", "-2")])
+def test_verify_identity_on_an_empty_grid_is_a_usage_error(capsys, tmp_path, grid):
+    # a sweep with no task verifies nothing, so it must not exit 0
+    report = tmp_path / "report.jsonl"
+    code, out, err = run(capsys, "verify", "identity", *grid, "--output", str(report))
+    assert code == 2 and out == "" and not report.exists()
+    assert "empty" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("route", ["enumerate", "bosonic", "fermionic"])
+@pytest.mark.parametrize("L", ["-1", "-3"])
+def test_chi_at_negative_length_is_the_zero_polynomial(capsys, route, L):
+    # no path has a negative length: all three routes agree on {}
+    code, out, err = run(capsys, "chi", route, "--p", "3", "--pp", "8",
+                         "--a", "1", "--b", "2", "--L", L)
+    assert (code, out, err) == (0, "{}\n", "")
+
+
 @pytest.mark.parametrize("forms", ["enumerate,enumerate", "bosonic,enumerate,bosonic"])
 def test_verify_identity_rejects_a_repeated_form(capsys, forms):
     code, out, err = run(capsys, "verify", "identity", "--ppmax", "4", "--Lmax", "4",
