@@ -11,7 +11,7 @@ mn-system ties the summation vectors to particle counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
 from math import comb, prod
 
@@ -107,32 +107,23 @@ def c_from_b(p: int, pp: int, b: int) -> int:
 
 # -- the constant-sign system --------------------------------------------------
 
-@dataclass(frozen=True)
-class GammaTrace:
-    """The three iterated sequences (index j = 0..t) and their intermediates."""
-    alpha: tuple[int, ...]
-    beta: tuple[int, ...]
-    gamma: tuple[int, ...]
-    alpha_dd: tuple[int, ...]   # alpha''_j
-    beta_p: tuple[int, ...]     # beta'_j
-    gamma_dd: tuple[int, ...]   # gamma''_j
+class GammaTrace(namedtuple("GammaTrace", "alpha beta gamma alpha_dd beta_p gamma_dd")):
+    """The three iterated sequences (index j = 0..t) and their intermediates
+    alpha''_j (alpha_dd), beta'_j (beta_p) and gamma''_j (gamma_dd)."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FermionicSystem:
-    tak: TakahashiData
-    a: int
-    b: int
-    u_L: tuple[int, ...]        # components 1..t at index j-1
-    u_R: tuple[int, ...]
-    delta_L: tuple[int, ...]
-    delta_R: tuple[int, ...]
-    # (mid, hi) of rows i = 0..t of C extended by one row: row i reads
-    # -m_{i-1} + mid*m_i + hi*m_{i+1}, with (1, 1) at a zone boundary
-    band: tuple[tuple[int, int], ...]
-    Q: tuple[int, ...]          # Q_0..Q_{t-1} for u = u_L + u_R
-    trace: GammaTrace
-    gamma: int
+class FermionicSystem(namedtuple("FermionicSystem", "tak a b u_L u_R delta_L delta_R "
+                                                    "band Q trace gamma")):
+    """The constant-sign system of endpoints a, b in the model of tak.
+
+    u_L, u_R, delta_L and delta_R hold components 1..t at index j-1.  band
+    holds (mid, hi) of rows i = 0..t of C extended by one row: row i reads
+    -m_{i-1} + mid*m_i + hi*m_{i+1}, with (1, 1) at a zone boundary.  Q is
+    Q_0..Q_{t-1} for u = u_L + u_R; trace is the GammaTrace and gamma its
+    gamma_0.  No __slots__: the exponent_rows cache lives in the instance
+    dict, so _replace starts a fresh one.
+    """
 
     @property
     def t(self) -> int:
@@ -252,10 +243,9 @@ def flat_sharp(u: tuple[int, ...], tak: TakahashiData, variant: str) -> tuple[in
 
 # -- the fermionic sums --------------------------------------------------------
 
-@dataclass(frozen=True)
-class MnSolution:
-    m_hat: tuple[int, ...]   # (L, m_1, ..., m_{t-1})
-    n: tuple[int, ...]       # (n_1, ..., n_t)
+class MnSolution(namedtuple("MnSolution", "m_hat n")):
+    """m_hat = (L, m_1, ..., m_{t-1}) and n = (n_1, ..., n_t)."""
+    __slots__ = ()
 
 
 def _iter_admissible_m(system: FermionicSystem, L: int, annihilate: bool = False):

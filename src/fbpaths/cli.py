@@ -330,6 +330,11 @@ def main(argv=None) -> int:
     except (ValueError, TransformError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        # no input has a fixed bound: a large --L, --Lmax or --ppmax can need
+        # more memory than the machine has
+        print("error: out of memory; try a smaller --L, --Lmax or --ppmax", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

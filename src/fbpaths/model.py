@@ -10,23 +10,23 @@ fermionic character sums are written in.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 from math import gcd
 
 
-@dataclass(frozen=True)
-class Model:
+class Model(namedtuple("Model", "p pp")):
     """A (p, p') band model: 0 < p < p', gcd(p, p') = 1."""
 
-    p: int
-    pp: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
-    def __post_init__(self):
-        if not 0 < self.p < self.pp:
-            raise ValueError(f"need 0 < p < p', got ({self.p}, {self.pp})")
-        if gcd(self.p, self.pp) != 1:
-            raise ValueError(f"p and p' must be coprime, got ({self.p}, {self.pp})")
+    def __new__(cls, p: int, pp: int):
+        if not 0 < p < pp:
+            raise ValueError(f"need 0 < p < p', got ({p}, {pp})")
+        if gcd(p, pp) != 1:
+            raise ValueError(f"p and p' must be coprime, got ({p}, {pp})")
+        return tuple.__new__(cls, (p, pp))
 
     def floor_mult(self, a: int) -> int:
         """floor(a p / p')."""
@@ -72,38 +72,27 @@ class Model:
         return Model(self.pp - self.p, self.pp)
 
 
-@dataclass(frozen=True)
-class TakahashiData:
+class TakahashiData(namedtuple("TakahashiData", "p pp cf n t t_bounds ys zs kappa "
+                                                "kappa_tilde ell T T_prime")):
     """Continued fraction of p'/p and everything built from it.
 
     cf = (c_0, ..., c_n) with c_n >= 2; n is the height, t = sum(cf) - 2 the
     rank.  t_bounds[k] = t_k = -1 + c_0 + ... + c_{k-1} for 0 <= k <= n+1.
-    y and z are indexed -1..n+1 (use y_of/z_of).  kappa, kappa_tilde and ell
-    are indexed 0..t; the Takahashi set T keeps kappa_0..kappa_{t-1}, and
-    T' = {p' - s : s in T} mirrors it from the top (kappa_t lands in T').
+    ys and zs hold y_k and z_k for k = -1..n+1 at index k + 1 (use y_of/z_of).
+    kappa, kappa_tilde and ell are indexed 0..t; the Takahashi set T keeps
+    kappa_0..kappa_{t-1}, and T' = {p' - s : s in T} mirrors it from the top
+    (kappa_t lands in T').
     """
 
-    p: int
-    pp: int
-    cf: tuple[int, ...]
-    n: int
-    t: int
-    t_bounds: tuple[int, ...]
-    _y: tuple[int, ...] = field(repr=False)
-    _z: tuple[int, ...] = field(repr=False)
-    kappa: tuple[int, ...]
-    kappa_tilde: tuple[int, ...]
-    ell: tuple[int, ...]
-    T: frozenset[int]
-    T_prime: frozenset[int]
+    __slots__ = ()
 
     def y_of(self, k: int) -> int:
         """y_k for -1 <= k <= n+1."""
-        return self._y[k + 1]
+        return self.ys[k + 1]
 
     def z_of(self, k: int) -> int:
         """z_k for -1 <= k <= n+1."""
-        return self._z[k + 1]
+        return self.zs[k + 1]
 
     def zone_of(self, j: int) -> int:
         """The unique k with t_k < j <= t_{k+1} (0 <= j <= t+1)."""
@@ -176,7 +165,7 @@ def continued_fraction(p: int, pp: int) -> TakahashiData:
 
     data = TakahashiData(
         p=p, pp=pp, cf=cf, n=n, t=t, t_bounds=t_bounds,
-        _y=tuple(y), _z=tuple(z),
+        ys=tuple(y), zs=tuple(z),
         kappa=tuple(kappa), kappa_tilde=tuple(kappa_t), ell=tuple(ell),
         T=T, T_prime=T_prime,
     )

@@ -16,7 +16,7 @@ incoming direction), not from enumerating the paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .model import Model
@@ -30,30 +30,34 @@ PEAK_DOWN = "peak-down"
 Score = tuple[int, list[bool]]  # (weight, scoring flags of vertices 0..L) of a path
 
 
-@dataclass(frozen=True)
-class PostSeg:
+class PostSeg(namedtuple("PostSeg", "c")):
     """Post-segment boundary: the path continues from (L, b) to (L+1, c)."""
-    c: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Wings:
+class Wings(namedtuple("Wings", "e f")):
     """Pre/post segment directions: e=0 pre-segment SE, e=1 NE; f=0 post NE, f=1 SE."""
-    e: int
-    f: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
-    def __post_init__(self):
-        if self.e not in (0, 1) or self.f not in (0, 1):
+    def __new__(cls, e: int, f: int):
+        if e not in (0, 1) or f not in (0, 1):
             raise ValueError("wings e, f must be 0 or 1")
+        return tuple.__new__(cls, (e, f))
 
 
-@dataclass(frozen=True)
-class Path:
-    model: Model
-    heights: tuple[int, ...]
-    boundary: PostSeg | Wings
+class Path(namedtuple("Path", "model heights boundary")):
+    """A path h_0..h_L (heights) in a Model, with a PostSeg or Wings boundary."""
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
+
+    def __new__(cls, model: Model, heights: tuple[int, ...], boundary: PostSeg | Wings):
+        self = tuple.__new__(cls, (model, heights, boundary))
+        self.__post_init__()
+        return self
 
     def __post_init__(self):
+        """Validate the heights and the boundary; every Path(...) runs it once."""
         hs = self.heights
         if len(hs) < 1:
             raise ValueError("a path needs at least h_0")
@@ -181,8 +185,7 @@ def weight_wtilde(path: Path) -> int:
 
 # -- striking sequence -------------------------------------------------------
 
-@dataclass(frozen=True)
-class StrikingSequence:
+class StrikingSequence(namedtuple("StrikingSequence", "columns e f d")):
     """Run-length decomposition of a winged path into straight lines.
 
     columns[i] = (a_i, b_i): non-scoring and scoring vertex counts of the
@@ -190,10 +193,7 @@ class StrikingSequence:
     itself).  The 0th vertex belongs to no line.  d = 0 when the first line
     points NE, 1 when SE.
     """
-    columns: tuple[tuple[int, int], ...]
-    e: int
-    f: int
-    d: int
+    __slots__ = ()
 
     @property
     def widths(self) -> tuple[int, ...]:
@@ -250,13 +250,9 @@ def rebuild_path(ss: StrikingSequence, model: Model, h0: int) -> Path:
 
 # -- path parameters ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class PathStats:
-    m: int
-    alpha: int
-    beta: int
-    pi: int
-    d: int
+class PathStats(namedtuple("PathStats", "m alpha beta pi d")):
+    """m, alpha, beta, pi and d of a winged path (see path_stats)."""
+    __slots__ = ()
 
 
 def _first_segment(path: Path) -> tuple[int, int]:

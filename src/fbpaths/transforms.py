@@ -14,7 +14,7 @@ heights it makes, so a chain of moves scores only its candidates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import accumulate
 
 from .model import Model
@@ -391,13 +391,10 @@ def truncate_right(path: Path) -> Path:
 
 # -- generating-function identity verifiers -----------------------------------
 
-@dataclass
-class BijectionReport:
-    params: dict
-    equal: bool
-    lhs: QPoly
-    rhs: QPoly
-    mismatch: tuple[int, int, int] | None = field(default=None)
+class BijectionReport(namedtuple("BijectionReport", "params equal lhs rhs mismatch")):
+    """An identity check: the params dict, whether lhs == rhs, and the first
+    mismatch (exponent, lhs coefficient, rhs coefficient) or None."""
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.equal

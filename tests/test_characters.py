@@ -1,6 +1,5 @@
 """Bosonic and fermionic closed forms, the mn-system, truncated series."""
 
-import dataclasses
 import sys
 from itertools import product
 
@@ -282,7 +281,11 @@ def test_prefer_t_prime_branch():
 def test_fermionic_exponent_integrality():
     # gamma + 1 leaves every summand's quadratic form odd, so not a multiple of 4
     system = build_system(5, 8, 1, 1)
-    broken = dataclasses.replace(system, gamma=system.gamma + 1)
+    rows = system.exponent_rows
+    broken = system._replace(gamma=system.gamma + 1)
+    # the copy computes its own exponent rows, not the cached system's
+    assert "exponent_rows" not in vars(broken)
+    assert broken.exponent_rows == rows and broken.exponent_rows is not rows
     for L in range(4, 13, 2):  # both forms have summands from L = 4 on
         for modified in (False, True):
             assert fermionic_terms(system, L, modified)
@@ -385,7 +388,7 @@ def test_flat_walk_equals_recursive_walk_on_random_systems(data):
     if j >= 0:
         u_L = list(system.u_L)
         u_L[j] += 1
-        system = dataclasses.replace(system, u_L=tuple(u_L))
+        system = system._replace(u_L=tuple(u_L))
     L = data.draw(st.integers(0, 30), label="L")
     annihilate = data.draw(st.booleans(), label="annihilate")
     assert walk_outcome(_iter_admissible_m, system, L, annihilate) == \

@@ -238,6 +238,16 @@ def test_verify_jobs_outside_the_cpu_count(capsys, monkeypatch, jobs):
     assert "--jobs" in err and "Traceback" not in err
 
 
+def test_out_of_memory_is_a_usage_error(capsys, monkeypatch):
+    def no_memory(*args):
+        raise MemoryError
+    monkeypatch.setattr(cli, "bosonic", no_memory)
+    code, out, err = run(capsys, "chi", "bosonic", "--p", "3", "--pp", "8",
+                         "--a", "1", "--b", "2", "--L", "1000000000")
+    assert code == 2 and out == ""
+    assert err.startswith("error: out of memory") and "Traceback" not in err
+
+
 def test_usage_errors(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"p": 3, "pp": 8, "heights": [1, 3],

@@ -1,5 +1,6 @@
 """Band model structure, continued fractions, Takahashi data."""
 
+import re
 from itertools import product
 
 import pytest
@@ -89,12 +90,14 @@ def test_delta():
 
 
 def test_model_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("p and p' must be coprime, got (2, 4)")):
         Model(2, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("need 0 < p < p', got (3, 3)")):
         Model(3, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("need 0 < p < p', got (0, 5)")):
         Model(0, 5)
+    with pytest.raises(ValueError, match="coprime"):  # _replace runs the same checks
+        Model(3, 8)._replace(p=4)
 
 
 def test_continued_fraction_golden_38_11():

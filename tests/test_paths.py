@@ -1,6 +1,8 @@
 """Path weights, striking sequences, enumeration, generating functions."""
 
 import json
+import pickle
+import re
 from itertools import product
 from pathlib import Path as FsPath
 
@@ -8,11 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fbpaths import (
-    Model, Path, PostSeg, QPoly, Wings, chi, chi_tilde, chi_tilde_by_m,
-    chi_tilde_restricted, classify_vertex, d_transform, iter_height_seqs,
-    path_from_json, path_stats, path_to_json, postseg_path, rebuild_path,
-    striking_sequence, weight_from_striking, weight_wt, weight_wtilde,
-    wings_path,
+    Model, Path, PostSeg, QPoly, Wings, build_system, chi, chi_tilde, chi_tilde_by_m,
+    chi_tilde_restricted, classify_vertex, continued_fraction, d_transform,
+    iter_height_seqs, mn_solutions, path_from_json, path_stats, path_to_json,
+    postseg_path, rebuild_path, striking_sequence, verify_b_bijection,
+    weight_from_striking, weight_wt, weight_wtilde, wings_path,
 )
 from helpers import (
     beta_closed_form, coprime_pairs, enumerate_paths, enumeration_tallies,
@@ -36,14 +38,47 @@ def zigzag13(L, a=1, e=0, f=0) -> Path:
 
 
 def test_path_validation():
-    with pytest.raises(ValueError):
-        postseg_path(3, 8, [1, 3], c=2)          # step of size 2
-    with pytest.raises(ValueError):
-        postseg_path(3, 8, [1, 2], c=4)          # c != b +- 1
-    with pytest.raises(ValueError):
-        postseg_path(3, 8, [0, 1], c=2)          # height out of grid
-    with pytest.raises(ValueError):
-        wings_path(3, 8, [1, 2], e=2, f=0)
+    for make, message in [
+        (lambda: postseg_path(3, 8, [1, 3], c=2), "step h_0->h_1 is not +-1"),
+        (lambda: postseg_path(3, 8, [1, 2], c=4), "post-segment endpoint c=4 is not b+-1"),
+        (lambda: postseg_path(3, 8, [6, 7], c=8), "c=8 outside 1..7"),
+        (lambda: postseg_path(3, 8, [0, 1], c=2), "height 0 outside 1..7"),
+        (lambda: postseg_path(3, 8, [], c=2), "a path needs at least h_0"),
+        (lambda: wings_path(3, 8, [1, 2], e=2, f=0), "wings e, f must be 0 or 1"),
+        # _replace runs the same checks
+        (lambda: Wings(0, 1)._replace(f=-1), "wings e, f must be 0 or 1"),
+        (lambda: wings_path(3, 8, [1, 2], 0, 0)._replace(heights=(1, 3)),
+         "step h_0->h_1 is not +-1"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make()
+
+
+def test_value_types_are_immutable_tuples_that_pickle():
+    path = fig1_wings(0)
+    system = build_system(3, 8, 2, 2)
+    values = [Model(3, 8), continued_fraction(3, 8), PostSeg(3), Wings(0, 1), path,
+              fig1_postseg(), striking_sequence(path), path_stats(path), system,
+              system.trace, mn_solutions(system, 6)[0],
+              verify_b_bijection(1, 3, 1, 1, 0, 1, 5, 0)]
+    assert len({type(v) for v in values}) == 11
+    for value in values:
+        assert value == tuple(value) and len(value) == len(value._fields)
+        with pytest.raises(AttributeError):
+            setattr(value, value._fields[0], None)
+        assert pickle.loads(pickle.dumps(value)) == value
+
+
+def test_each_path_is_checked_once(monkeypatch):
+    # the benchmark's tracer counts Path objects by patching Path.__post_init__
+    calls = []
+    check = Path.__post_init__
+    monkeypatch.setattr(Path, "__post_init__", lambda self: calls.append(check(self)))
+    path = wings_path(3, 8, [2, 3, 4], 0, 1)
+    assert len(calls) == 1
+    rebuild_path(striking_sequence(path), path.model, path.a)
+    Path(path.model, path.heights, PostSeg(5))
+    assert len(calls) == 3
 
 
 def test_fig1_weight_and_scoring():

@@ -1,10 +1,14 @@
 """Source checks: library invariants raise explicit errors, so they still
 hold under python -O, every cache is bounded, every name the benchmark's
-tracer patches exists, and every library name has a caller."""
+tracer patches exists, every library name has a caller, and importing the
+CLI loads every cached module but none of the heavy standard modules."""
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path as FsPath
 
@@ -39,6 +43,36 @@ def test_library_caches_are_bounded():
                     getattr(node.value, "id", None) == "functools":
                 found.append(f"{src.name}:{node.lineno}")
     assert found == []
+
+
+def _modules_after_cli_import() -> set[str]:
+    """The sys.modules names of a fresh interpreter after `import fbpaths.cli`."""
+    src = str(FsPath(fbpaths.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", "import sys, fbpaths.cli; print(*sys.modules)"],
+                         env=env, capture_output=True, text=True, check=True)
+    return set(out.stdout.split())
+
+
+def test_cli_import_stays_light():
+    # every cold `fbpaths` call pays for what the CLI imports: dataclasses
+    # alone loads inspect, ast, dis and tokenize, and only --jobs > 1 needs
+    # multiprocessing
+    loaded = _modules_after_cli_import()
+    assert "fbpaths.cli" in loaded
+    assert loaded & {"dataclasses", "inspect", "multiprocessing"} == set()
+
+
+def test_every_cached_module_loads_with_the_cli():
+    # the benchmark's transform-suite clears the caches of the fbpaths modules
+    # that `import fbpaths.cli` has loaded; a module imported lazily would keep
+    # its caches warm from one pass to the next
+    cached = {f"fbpaths.{src.stem}" for src in SOURCES
+              if any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "lru_cache"
+                     for node in ast.walk(ast.parse(src.read_text(), filename=str(src))))}
+    assert cached
+    assert cached - _modules_after_cli_import() == set()
 
 
 TRACING = FsPath(__file__).parents[1] / "perfbench" / "tracing.py"
