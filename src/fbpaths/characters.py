@@ -6,7 +6,7 @@ sum with Gaussian factors, and two constant-sign quadratic-exponent sums
 driven by the Takahashi data (one with classical Gaussians plus a
 smaller-model tail, one with modified Gaussians and no tail): one walk and
 one packed kernel, _gaussian_sum, give both, cached as a bounded pair.  The
-mn-system ties the summation vectors to particle counts.
+classical form and the mn-system keep the walk's summands with all n_j >= 0.
 """
 
 from __future__ import annotations
@@ -248,18 +248,17 @@ class MnSolution(namedtuple("MnSolution", "m_hat n")):
     __slots__ = ()
 
 
-def _iter_admissible_m(system: FermionicSystem, L: int, annihilate: bool = False):
+def _iter_admissible_m(system: FermionicSystem, L: int):
     """Yield (m_hat, n) with m_hat = (L, m_1, ..., m_{t-1}) and
     n_j = (u_j + m_{j-1} - mid*m_j - hi*m_{j+1})/2 from band row j = 1..t
-    (rows 1..t of C-hat) for every summand the constant-sign sums keep.
+    (rows 1..t of C-hat) for every summand of the modified sum.
 
     m_hat runs over the right parities and the support bound
     m_{i+1} <= m_i + 1 (terms beyond it sum to zero), in depth-first order.
     n_j is fixed as soon as m_{j+1} is chosen (m_t = 0 closes the last
-    rows), and the walk
-    cuts the subtree there when n_j < 0 -- unless ``annihilate`` is set and
-    m_j = 0, where the modified form keeps [n_j over 0]' = 1.  Raises
-    ValueError if a particle count is not an integer (parity mismatch).
+    rows), and the walk cuts the subtree there when n_j < 0 and m_j > 0
+    (at m_j = 0 the factor is [n_j over 0]' = 1).  Raises ValueError if a
+    particle count is not an integer (parity mismatch).
     """
     t = system.t
     Q = system.Q
@@ -289,7 +288,7 @@ def _iter_admissible_m(system: FermionicSystem, L: int, annihilate: bool = False
             if v % 2:
                 raise ValueError("non-integral particle count: parity mismatch")
             n[j - 1] = v // 2
-            if v < 0 and not (annihilate and m[j] == 0):
+            if v < 0 and m[j]:
                 break
         else:
             if i == last:
@@ -321,10 +320,10 @@ def _summands(system: FermionicSystem, L: int):
     """(m_hat, n, exponent, keys, kept) of each modified summand: q^exponent
     times the classical Gaussians [top over k] for keys (top, k) = (m_j + n_j,
     m_j > 0), as every other factor is [n_j over 0]' = 1.  The classical form
-    keeps exactly the summands with every n_j >= 0 (kept)."""
+    and the mn-system keep exactly the summands with every n_j >= 0 (kept)."""
     return [(m_hat, n, _exponent(system, m_hat),
              [(m + nj, m) for m, nj in zip(m_hat[1:], n) if m], min(n) >= 0)
-            for m_hat, n in _iter_admissible_m(system, L, annihilate=True)]
+            for m_hat, n in _iter_admissible_m(system, L)]
 
 
 def fermionic_terms(system: FermionicSystem, L: int, modified: bool):
@@ -335,7 +334,7 @@ def fermionic_terms(system: FermionicSystem, L: int, modified: bool):
 
 def mn_solutions(system: FermionicSystem, L: int) -> list[MnSolution]:
     """All (m_hat, n) with every n_i a non-negative integer and m >= 0."""
-    return [MnSolution(m_hat, n) for m_hat, n in _iter_admissible_m(system, L)]
+    return [MnSolution(m_hat, n) for m_hat, n, *_, kept in _summands(system, L) if kept]
 
 
 def _sub_character(zn: int, yn: int, a: int, b: int, c_outer: int, L: int) -> QPoly:
@@ -392,23 +391,18 @@ def _fermionic_sums(p: int, pp: int, a: int, b: int, L: int, prefer_t_prime: boo
     return kept, kept + _gaussian_sum([(e, keys) for *_, e, keys, k in terms if not k])
 
 
-def _fermionic(p: int, pp: int, a: int, b: int, L: int, modified: bool,
-               prefer_t_prime: bool = False) -> QPoly:
-    if L < 0 or (L + a - b) % 2:
-        return QPoly.zero()
-    kept, total = _fermionic_sums(p, pp, a, b, L, prefer_t_prime)
-    if modified:
-        return total
-    return kept + _classical_tail(build_system(p, pp, a, b, prefer_t_prime), L)
-
-
 def fermionic_classical(p: int, pp: int, a: int, b: int, L: int,
                         prefer_t_prime: bool = False) -> QPoly:
     """Constant-sign sum with classical Gaussians plus the smaller-model tail."""
-    return _fermionic(p, pp, a, b, L, modified=False, prefer_t_prime=prefer_t_prime)
+    if L < 0 or (L + a - b) % 2:
+        return QPoly.zero()
+    kept = _fermionic_sums(p, pp, a, b, L, prefer_t_prime)[0]
+    return kept + _classical_tail(build_system(p, pp, a, b, prefer_t_prime), L)
 
 
 def fermionic_modified(p: int, pp: int, a: int, b: int, L: int,
                        prefer_t_prime: bool = False) -> QPoly:
     """Constant-sign sum with modified Gaussians; no tail term."""
-    return _fermionic(p, pp, a, b, L, modified=True, prefer_t_prime=prefer_t_prime)
+    if L < 0 or (L + a - b) % 2:
+        return QPoly.zero()
+    return _fermionic_sums(p, pp, a, b, L, prefer_t_prime)[1]

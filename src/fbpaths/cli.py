@@ -100,7 +100,6 @@ def run_verify_identity(ppmax: int, lmax: int, jobs: int, forms, out) -> int:
             records = pool.map(_identity_record, tasks, chunksize=chunksize)
     else:
         records = [_identity_record(t) for t in tasks]
-    records.sort(key=lambda r: (r["pp"], r["p"], r["a"], r["b"], r["c"], r["L"]))
     failures = 0
     for rec in records:
         if not rec["equal"]:
@@ -188,7 +187,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_path(fname: str) -> Path:
     with open(fname) as fh:
-        return path_from_json(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"path JSON in {fname} nests too deeply") from None
+    return path_from_json(doc)
 
 
 def _parse_lambda(text: str) -> tuple[int, ...]:

@@ -125,7 +125,8 @@ def coprime_pairs(ppmax: int) -> list[tuple[int, int]]:
 
 
 def continued_fraction_digits(p: int, pp: int) -> tuple[int, ...]:
-    """Continued fraction (c_0, ..., c_n) of pp/p, normalized so c_n >= 2."""
+    """Continued fraction (c_0, ..., c_n) of pp/p by Euclid; c_n >= 2, as the
+    last quotient is a remainder above 1 (or p' at p = 1) divided by 1."""
     if gcd(p, pp) != 1 or not 0 < p < pp:
         raise ValueError(f"need coprime 0 < p < p', got ({p}, {pp})")
     cf = []
@@ -133,9 +134,6 @@ def continued_fraction_digits(p: int, pp: int) -> tuple[int, ...]:
     while b:
         cf.append(a // b)
         a, b = b, a % b
-    if len(cf) > 1 and cf[-1] == 1:  # canonical Euclid never ends in 1, but be safe
-        cf[-2] += 1
-        cf.pop()
     return tuple(cf)
 
 

@@ -410,7 +410,6 @@ def _first_mismatch(lhs: QPoly, rhs: QPoly):
         cl, cr = lhs.coeff(ex), rhs.coeff(ex)
         if cl != cr:
             return ex, cl, cr
-    return None
 
 
 def _report(params: dict, lhs: QPoly, rhs: QPoly) -> BijectionReport:
@@ -441,9 +440,9 @@ def verify_b_bijection(p: int, pp: int, a: int, b: int, e: int, f: int,
                        m0: int, m1: int, S=None) -> BijectionReport:
     """Check the dilation identity between (p, p') and (p, p'+p) exactly.
 
-    Left side: paths of length m0 with m = m1 in the bigger model, by
-    enumeration.  Right side: Gaussian-weighted sum of length-m1 counts in
-    the smaller model, shifted by the quadratic prefactor.
+    Left side: paths of length m0 with m = m1 in the bigger model, from the
+    transfer recurrence.  Right side: Gaussian-weighted sum of length-m1
+    counts in the smaller model, shifted by the quadratic prefactor.
     """
     model = Model(p, pp)
     if model.delta(a, e) != 0:

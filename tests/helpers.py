@@ -189,11 +189,12 @@ def recursive_walk(system, L, annihilate=False):
     yield from rec(0)
 
 
-def walk_outcome(walk, system, L, annihilate):
-    """Everything an m-vector walk yields, and its ValueError message or None."""
+def walk_outcome(walk):
+    """Everything an m-vector walk (a generator) yields, and its ValueError
+    message or None."""
     out = []
     try:
-        for item in walk(system, L, annihilate):
+        for item in walk:
             out.append(item)
     except ValueError as exc:
         return out, str(exc)

@@ -339,8 +339,7 @@ def test_pruned_walk_equals_leaf_filtered_walk(data):
     assume(L >= 0)
     classical = list(leaf_filtered_walk(system, L, modified=False))
     modified = list(leaf_filtered_walk(system, L, modified=True))
-    assert list(_iter_admissible_m(system, L)) == classical
-    assert list(_iter_admissible_m(system, L, annihilate=True)) == modified
+    assert list(_iter_admissible_m(system, L)) == modified
     assert [(s.m_hat, s.n) for s in mn_solutions(system, L)] == classical
     for form, oracle in ((False, classical), (True, modified)):
         terms = fermionic_terms(system, L, modified=form)
@@ -365,11 +364,17 @@ def takahashi_systems(ppmax):
 
 
 def test_flat_walk_equals_recursive_walk():
+    # one production walk per (system, L) against both oracle modes: all of
+    # it against the annihilating one, its summands with every n_j >= 0
+    # against the classical one
     walks = 0
     for system in takahashi_systems(16):
-        for L, annihilate in product(range(15), (False, True)):
-            assert walk_outcome(_iter_admissible_m, system, L, annihilate) == \
-                walk_outcome(recursive_walk, system, L, annihilate), (system.tak, L)
+        for L in range(15):
+            flat, error = walk_outcome(_iter_admissible_m(system, L))
+            assert (flat, error) == walk_outcome(recursive_walk(system, L, annihilate=True)), \
+                (system.tak, L)
+            kept = [(m_hat, n) for m_hat, n in flat if min(n) >= 0]
+            assert (kept, error) == walk_outcome(recursive_walk(system, L)), (system.tak, L)
             walks += 1
     assert walks > 100_000
 
@@ -382,22 +387,22 @@ def test_flat_walk_equals_recursive_walk_on_random_systems(data):
     a = data.draw(st.sampled_from(members), label="a")
     b = data.draw(st.sampled_from(members), label="b")
     system = build_system(p, pp, a, b, data.draw(st.booleans(), label="tprime"))
-    # a bumped component of u leaves some band row odd: the walks must then
-    # raise the same ValueError after the same yields
+    # a bumped component of u leaves some band row odd: the walk must then
+    # raise the same ValueError as the annihilating oracle after the same
+    # yields
     j = data.draw(st.integers(-1, system.t - 1), label="bumped u_L index")
     if j >= 0:
         u_L = list(system.u_L)
         u_L[j] += 1
         system = system._replace(u_L=tuple(u_L))
     L = data.draw(st.integers(0, 30), label="L")
-    annihilate = data.draw(st.booleans(), label="annihilate")
-    assert walk_outcome(_iter_admissible_m, system, L, annihilate) == \
-        walk_outcome(recursive_walk, system, L, annihilate)
+    assert walk_outcome(_iter_admissible_m(system, L)) == \
+        walk_outcome(recursive_walk(system, L, annihilate=True))
 
 
 def test_classical_summands_are_the_modified_ones_without_annihilation():
     # one walk gives both forms: the summands it flags kept must be what the
-    # classical walk, without annihilation, yields, in the same order
+    # classical oracle walk, without annihilation, yields, in the same order
     for system in takahashi_systems(10):
         for L in range(13):
             summands = _summands(system, L)

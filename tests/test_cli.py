@@ -191,6 +191,10 @@ def test_verify_identity_deterministic_and_parallel(capsys):
     _, out3, _ = run(capsys, "verify", "identity", "--ppmax", "4", "--Lmax", "6",
                      "--jobs", "2")
     assert strip(out1) == strip(out3)
+    # tasks are generated in report order and Pool.map keeps task order
+    keys = [tuple(json.loads(l)[k] for k in ("pp", "p", "a", "b", "c", "L"))
+            for l in strip(out1)]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
 
 @pytest.mark.parametrize("grid", [("--ppmax", "-3"), ("--ppmax", "2"), ("--Lmax", "-2")])
@@ -302,3 +306,14 @@ def test_non_integer_path_json_is_a_usage_error(capsys, tmp_path, field, value):
                          "--input", str(bad))
     assert code == 2 and out == ""
     assert "integer" in err and "Traceback" not in err
+
+
+def test_deeply_nested_path_json_is_a_usage_error(capsys, tmp_path):
+    # the JSON decoder gives up on deep nesting with a RecursionError
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 200_000)
+    for argv in (("path", "weight", "--variant", "wt"), ("path", "striking"),
+                 ("transform", "b1")):
+        code, out, err = run(capsys, *argv, "--input", str(bad))
+        assert code == 2 and out == ""
+        assert "nests too deeply" in err and "Traceback" not in err
