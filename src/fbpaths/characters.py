@@ -6,7 +6,8 @@ sum with Gaussian factors, and two constant-sign quadratic-exponent sums
 driven by the Takahashi data (one with classical Gaussians plus a
 smaller-model tail, one with modified Gaussians and no tail): one walk and
 one packed kernel, _gaussian_sum, give both, cached as a bounded pair.  The
-classical form and the mn-system keep the walk's summands with all n_j >= 0.
+classical form and the mn-system keep the walk's summands with all n_j >= 0;
+only the forms compute a summand's exponent and Gaussians (_term).
 """
 
 from __future__ import annotations
@@ -298,10 +299,19 @@ def _iter_admissible_m(system: FermionicSystem, L: int):
                 nxt[i] = Q[i]
 
 
-def _exponent(system: FermionicSystem, m_hat: tuple[int, ...]) -> int:
-    """(m_hat^T C m_hat - L^2 - 2 w.m + gamma)/4, where w = u_L^flat + u_R^sharp.
+def _summands(system: FermionicSystem, L: int):
+    """(m_hat, n, kept) of each modified summand.  The classical form and the
+    mn-system keep exactly the summands with every n_j >= 0 (kept)."""
+    return [(m_hat, n, min(n) >= 0) for m_hat, n in _iter_admissible_m(system, L)]
 
-    Raises RuntimeError if the quadratic form is not divisible by 4.
+
+def _term(system: FermionicSystem, m_hat: tuple[int, ...], n: tuple[int, ...]):
+    """(exponent, keys) of a summand: q^exponent times the classical Gaussians
+    [top over k] for keys (top, k) = (m_j + n_j, m_j > 0), as every other
+    factor is [n_j over 0]' = 1.
+
+    The exponent is (m_hat^T C m_hat - L^2 - 2 w.m + gamma)/4, where
+    w = u_L^flat + u_R^sharp; RuntimeError if 4 does not divide it.
     """
     # band row i of C gives mid*m_i^2 + hi*m_i*m_{i+1} - m_i*m_{i-1}, so each
     # neighbour pair (i-1, i) carries hi_{i-1} - 1
@@ -313,28 +323,18 @@ def _exponent(system: FermionicSystem, m_hat: tuple[int, ...]) -> int:
     exp, frac = divmod(quad, 4)
     if frac:
         raise RuntimeError(f"fermionic summand {m_hat} has a fractional exponent")
-    return exp
-
-
-def _summands(system: FermionicSystem, L: int):
-    """(m_hat, n, exponent, keys, kept) of each modified summand: q^exponent
-    times the classical Gaussians [top over k] for keys (top, k) = (m_j + n_j,
-    m_j > 0), as every other factor is [n_j over 0]' = 1.  The classical form
-    and the mn-system keep exactly the summands with every n_j >= 0 (kept)."""
-    return [(m_hat, n, _exponent(system, m_hat),
-             [(m + nj, m) for m, nj in zip(m_hat[1:], n) if m], min(n) >= 0)
-            for m_hat, n in _iter_admissible_m(system, L)]
+    return exp, [(m + nj, m) for m, nj in zip(m_hat[1:], n) if m]
 
 
 def fermionic_terms(system: FermionicSystem, L: int, modified: bool):
     """Nonzero summands: a list of (m_hat, n, term polynomial)."""
-    return [(m_hat, n, _gaussian_sum([(e, keys)]))
-            for m_hat, n, e, keys, kept in _summands(system, L) if kept or modified]
+    return [(m_hat, n, _gaussian_sum([_term(system, m_hat, n)]))
+            for m_hat, n, kept in _summands(system, L) if kept or modified]
 
 
 def mn_solutions(system: FermionicSystem, L: int) -> list[MnSolution]:
     """All (m_hat, n) with every n_i a non-negative integer and m >= 0."""
-    return [MnSolution(m_hat, n) for m_hat, n, *_, kept in _summands(system, L) if kept]
+    return [MnSolution(m_hat, n) for m_hat, n, kept in _summands(system, L) if kept]
 
 
 def _sub_character(zn: int, yn: int, a: int, b: int, c_outer: int, L: int) -> QPoly:
@@ -386,9 +386,10 @@ def _gaussian_sum(terms) -> QPoly:
 @lru_cache(maxsize=64)
 def _fermionic_sums(p: int, pp: int, a: int, b: int, L: int, prefer_t_prime: bool):
     """(classical sum without its tail, modified sum): kept plus annihilated."""
-    terms = _summands(build_system(p, pp, a, b, prefer_t_prime), L)
-    kept = _gaussian_sum([(e, keys) for *_, e, keys, k in terms if k])
-    return kept, kept + _gaussian_sum([(e, keys) for *_, e, keys, k in terms if not k])
+    system = build_system(p, pp, a, b, prefer_t_prime)
+    terms = [(k, _term(system, m_hat, n)) for m_hat, n, k in _summands(system, L)]
+    kept = _gaussian_sum([term for k, term in terms if k])
+    return kept, kept + _gaussian_sum([term for k, term in terms if not k])
 
 
 def fermionic_classical(p: int, pp: int, a: int, b: int, L: int,

@@ -16,7 +16,7 @@ import time
 
 from .model import Model, continued_fraction, coprime_pairs, format_model_tables
 from .paths import (
-    Path, PostSeg, Wings, chi, chi_tilde, chi_tilde_restricted, path_from_json,
+    Path, PostSeg, Wings, chi, chi_tilde_restricted, path_from_json,
     path_to_json, striking_sequence, weight_wt, weight_wtilde,
 )
 from .qpoly import QPoly
@@ -207,11 +207,8 @@ def _cmd_chi(args) -> int:
         if args.e is not None or args.f is not None:
             if args.e is None or args.f is None:
                 raise ValueError("winged enumeration needs both --e and --f")
-            if S:
-                poly = chi_tilde_restricted(model, args.a, args.b, args.e, args.f,
-                                            args.L, m=args.m, S=S)
-            else:
-                poly = chi_tilde(model, args.a, args.b, args.e, args.f, args.L, m=args.m)
+            poly = chi_tilde_restricted(model, args.a, args.b, args.e, args.f,
+                                        args.L, m=args.m, S=S)
         else:
             if args.m is not None:
                 raise ValueError("--m restricts winged enumeration; give --e and --f")

@@ -2,7 +2,7 @@
 
 Everything downstream (path weights, Gaussian polynomials, character sums)
 is exact integer arithmetic.  The fermionic sums write their exponents as
-quadratic forms over 4; characters._exponent divides each one by 4 and
+quadratic forms over 4; characters._term divides each one by 4 and
 raises if it does not divide, and the bijection verifiers do the same with
 their prefactors, so no other code sees a fractional exponent.
 """

@@ -4,7 +4,8 @@ The building blocks: path dilation into the (p, p'+p) model, insertion of k
 particles (adjacent pairs of scoring vertices), particle motion indexed by a
 partition, the parity-flip map onto the (p'-p, p') model, and single-unit
 extension/truncation at either end.  Dilation doubles the step into every
-scoring vertex; its inverse rebuilds the path from its striking sequence.
+scoring vertex; its inverse rebuilds the path from its striking sequence
+and keeps it only if it dilates back.
 A particle moves one step by a local swap of two segment steps: the step
 of one segment trades places with the step of the segment just before it
 or of the one before that, and the scoring flags decide which.  A move is
@@ -70,43 +71,30 @@ def b1(path: Path) -> Path:
 
 
 def b1_inverse(path0: Path) -> Path:
-    """Undo dilation: map a dilated path in (p, p') back to (p, p'-p)."""
+    """Undo dilation: the path h of (p, p'-p) with b1(h) == path0.
+
+    The candidate is read off the striking sequence: one straight vertex
+    was inserted before every scoring vertex, so each line had width a_i,
+    plus one on the first line when the 0th vertex does not score (a point
+    path's 0th vertex scores exactly when e == f).  It is returned only if
+    it dilates back to path0; TransformError otherwise.
+    """
     wings = _require_wings(path0)
-    e, f = wings.e, wings.f
     model = path0.model
     if model.pp <= 2 * model.p:
         raise TransformError("inverse dilation needs p' > 2p")
-    small = Model(model.p, model.pp - model.p)
-    a = path0.a - model.floor_mult(path0.a) - e
-    if not 1 <= a <= small.pp - 1:
-        raise TransformError("path is not in the image of a dilation")
-    if path0.L == 0:
-        if e == f:
-            return Path(small, (a,), Wings(e, f))
-        # the image of the single segment whose far vertex is non-scoring:
-        # the first line collapsed to width w_1 + b_1 - 1 = 0
-        step = 1 if f == 0 else -1
-        if not 1 <= a + step <= small.pp - 1:
-            raise TransformError("point path with e != f is not a dilation image")
-        return Path(small, (a, a + step), Wings(e, f))
-    _, flags = _score_wings(model, path0.heights, e, f)
+    _, flags = _score_wings(model, path0.heights, wings.e, wings.f)
     ss = _striking(path0, flags)
-    # one straight vertex was inserted before every scoring vertex, so each
-    # line had width a_i, except the first when the 0th vertex changed
-    # character under dilation
-    small_widths = [a_i for a_i, _ in ss.columns]
-    small_bs = [b_i for _, b_i in ss.columns]
-    if not flags[0]:
-        small_widths[0] += 1  # preimage had e+d+pi odd with pi = 0
-    elif path0.L >= 2 and flags[1] and (path0.heights[1] - path0.heights[0]) == (path0.heights[2] - path0.heights[1]):
-        # scoring pair at vertices 0,1 with a straight 1st vertex: pi was 1
-        small_bs[0] -= 1
-    if any(w <= 0 for w in small_widths) or any(b < 0 or b > w for w, b in zip(small_widths, small_bs)):
-        raise TransformError("path is not in the image of a dilation")
-    try:
-        return Path(small, rebuild_heights(small_widths, ss.d, a), Wings(e, f))
-    except ValueError as exc:
-        raise TransformError("path is not in the image of a dilation") from exc
+    widths = [a_i for a_i, _ in ss.columns] or [0]
+    widths[0] += not flags[0]
+    a = path0.a - model.floor_mult(path0.a) - wings.e
+    try:  # ValueError: off the grid; TransformError: a point path with e != f
+        h = Path(Model(model.p, model.pp - model.p), rebuild_heights(widths, ss.d, a), wings)
+        if b1(h).heights == tuple(path0.heights):  # b1 keeps the model and wings
+            return h
+    except ValueError:
+        pass
+    raise TransformError("path is not in the image of a dilation")
 
 
 # -- particle insertion ------------------------------------------------------

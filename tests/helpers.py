@@ -268,9 +268,9 @@ def dense_parity(C_hat, u):
 
 
 def dense_exponents(system, m_hats):
-    """Oracle for characters._exponent: (m_hat^T C m_hat - L^2 - 2 w.m +
-    gamma)/4 for each m_hat, with w = u_L^flat + u_R^sharp and the quadratic
-    form summed over the dense rows of system.C."""
+    """Oracle for the exponent of characters._term: (m_hat^T C m_hat - L^2 -
+    2 w.m + gamma)/4 for each m_hat, with w = u_L^flat + u_R^sharp and the
+    quadratic form summed over the dense rows of system.C."""
     tak = system.tak
     w = [fl + sh for fl, sh in zip(flat_sharp(system.u_L, tak, "flat"),
                                    flat_sharp(system.u_R, tak, "sharp"))]

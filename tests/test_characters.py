@@ -12,7 +12,7 @@ from fbpaths import (
     fermionic_terms, flat_sharp, groundstate_label, mn_solutions,
     gaussian, gaussian_modified, partition_series, rocha_caridi_truncated,
 )
-from fbpaths.characters import _classical_tail, _iter_admissible_m, _summands
+from fbpaths.characters import _classical_tail, _iter_admissible_m, _summands, _term
 from helpers import (
     coprime_pairs, dense_exponents, dense_parity, leaf_filtered_walk, recursive_walk,
     step_count, unpruned_walk_size, walk_outcome,
@@ -440,9 +440,10 @@ def test_packed_sum_equals_sum_of_terms(data):
         # packed kernel that both fermionic_terms and the forms go through;
         # the classical form has no annihilated particle (n_j < 0)
         terms = []
-        for m_hat, n, e, keys, _ in summands:
+        for m_hat, n, _ in summands:
             if not (modified or all(v >= 0 for v in n)):
                 continue
+            e, keys = _term(system, m_hat, n)
             term = QPoly.one()
             for key in keys:
                 term = term * gaussian(*key)

@@ -82,6 +82,23 @@ def test_b1_striking_image():
             assert list(ssi.columns) == cols
 
 
+@pytest.mark.parametrize("p, pp", [(1, 3), (1, 4), (2, 5), (3, 7), (3, 8), (2, 7)])
+def test_b1_inverse_returns_exactly_the_preimage(p, pp):
+    # dilation can shorten a path by one, so the preimages of every image
+    # with L <= lmax have L <= lmax + 1
+    lmax = 8
+    preimage = {}
+    for h in winged_paths(p, pp - p, lmax + 1):
+        if h.L or h.boundary.e == h.boundary.f:  # b1 is undefined otherwise
+            preimage[b1(h)] = h
+    for path0 in winged_paths(p, pp, lmax):
+        if path0 in preimage:
+            assert b1_inverse(path0) == preimage[path0]
+        else:
+            with pytest.raises(TransformError, match="^path is not in the image of a dilation$"):
+                b1_inverse(path0)
+
+
 def test_b2_example_and_invariants():
     base = b1(wings_path(3, 8, FIG1, e=1, f=1))  # element of (3,11), L=21
     h2 = b2(base, 2)
@@ -220,7 +237,8 @@ def test_stats_and_dilation_equal_striking_oracles_on_random_walks(data):
 def test_each_path_state_is_scored_once(monkeypatch):
     # path_stats scores once; b3 and decompose score once up front and then
     # only the (at most two) candidates of each of the sum(lam) moves, and
-    # decompose's closing b1_inverse scores once more
+    # decompose's closing b1_inverse scores its input and the dilation of
+    # its candidate
     calls = []
 
     def counting(*args):
@@ -246,7 +264,7 @@ def test_each_path_state_is_scored_once(monkeypatch):
                     assert len(calls) <= 1 + 2 * sum(lam), (hk, lam)
                     calls.clear()
                     _, _, lam2 = decompose(img)
-                    assert len(calls) <= 2 + 2 * sum(lam2), (img, lam2)
+                    assert len(calls) <= 3 + 2 * sum(lam2), (img, lam2)
                     n += 1
     assert n == 17914
 
