@@ -335,6 +335,9 @@ def main(argv=None) -> int:
         # more memory than the machine has
         print("error: out of memory; try a smaller --L, --Lmax or --ppmax", file=sys.stderr)
         return 2
+    except OverflowError as exc:  # an int too large to index, range over or shift by
+        print(f"error: a number is too large ({exc})", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -318,25 +318,23 @@ def _vertex_moves(p: int, pp: int) -> dict[tuple[int, bool, bool], tuple]:
 
 
 @lru_cache(maxsize=256)
-def _transfer_prefix(p: int, pp: int, a: int, b: int, L: int, first_up: bool,
+def _transfer_prefix(p: int, pp: int, a: int, L: int, first_up: bool,
                      attain: frozenset[int], by_m: bool) -> tuple[tuple[tuple, int], ...]:
-    """The states (h_L = b, direction into vertex L, bitmask of the `attain`
-    heights met before, m so far) after the vertices 0..L-1, each with its
-    packed polynomial, as (state, packed) pairs: everything but the final
-    vertex, which alone reads the boundary's c or f.
+    """The states (h_L, direction into vertex L, bitmask of the `attain`
+    heights met before, m so far) after the vertices 0..L-1 from a, each with
+    its packed polynomial, as (state, packed) pairs: everything but the final
+    vertex, which alone reads the endpoint b and the boundary's c or f.
     """
     moves = _vertex_moves(p, pp)
     bits = 8 * (L // 8 + 1)
     bit = {s: 1 << k for k, s in enumerate(sorted(attain))}
     states = {(a, first_up, 0, 0): 1}
     for i in range(L):
-        # the heights from which b is still reachable
-        lo, hi = max(1, b - L + i + 1), min(pp - 1, b + L - i - 1)
         nxt: dict[tuple[int, bool, int, int], int] = {}
         for (h, in_up, mask, m), packed in states.items():
             mask |= bit.get(h, 0)
             for up, nh, scoring in moves[h, in_up, False]:
-                if lo <= nh <= hi:
+                if 0 < nh < pp:
                     if scoring:
                         key = (nh, up, mask, m)
                         val = packed << bits * ((i - h + a) // 2 if in_up else (i + h - a) // 2)
@@ -357,25 +355,25 @@ def _transfer(model: Model, a: int, b: int, L: int, boundary: PostSeg | Wings,
     each packing its polynomial into one int, coefficient j at byte offset
     j * width: no count exceeds the 2^L paths, so L + 1 bits never carry.
     A scoring vertex shifts it by the vertex's coordinate (see _score).
-    Vertices 0..L-1 do not see c or f, so both endpoints c = b +- 1, or both
-    wings f, share one cached _transfer_prefix; here vertex L steps out to
-    b + 1 or b - 1, as its boundary says.
+    Vertices 0..L-1 see neither b, c nor f, so every endpoint shares one
+    cached _transfer_prefix; here its states at h_L = b take vertex L, which
+    steps out to b + 1 or b - 1, as its boundary says.  Callers check a and b.
     """
     pp = model.pp
     if not all(0 < s < pp for s in attain):
         raise ValueError(f"attained heights {sorted(attain)} must lie in 1..p'-1")
-    if not (0 < a < pp and 0 < b < pp) or L < 0 or (L + a - b) % 2 or abs(b - a) > L:
+    if L < 0:
         return {}
     first_up, last_up, wing = _ends(boundary, b)
-    states = _transfer_prefix(model.p, pp, a, b, L, first_up, attain, by_m)
+    states = _transfer_prefix(model.p, pp, a, L, first_up, attain, by_m)
     moves = _vertex_moves(model.p, pp)
     width = L // 8 + 1
     bits = 8 * width
     full = (1 << len(attain)) - 1
     at_b = 1 << sorted(attain).index(b) if b in attain else 0
     sums: dict[int, int] = {}
-    for (_, in_up, mask, m), packed in states:
-        if mask | at_b == full:
+    for (h, in_up, mask, m), packed in states:
+        if h == b and mask | at_b == full:
             _, _, scoring = moves[b, in_up, wing][last_up]
             if scoring:
                 packed <<= bits * ((L - b + a) // 2 if in_up else (L + b - a) // 2)

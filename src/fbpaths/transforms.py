@@ -21,7 +21,7 @@ from itertools import accumulate
 from .model import Model
 from .paths import (
     Path, Score, Wings, _first_segment, _parity_table, _score, _striking,
-    chi_tilde, rebuild_heights,
+    chi_tilde, chi_tilde_by_m, rebuild_heights,
 )
 from .qpoly import QPoly, gaussian
 
@@ -443,9 +443,8 @@ def verify_b_bijection(p: int, pp: int, a: int, b: int, e: int, f: int,
     lhs = chi_tilde(big, a_new, b_new, e, f, L=m0, m=m1, attain=S_big)
     beta = model.floor_mult(b) - model.floor_mult(a) + f - e
     rhs = QPoly.zero()
-    for m in range(m0 % 2, m1 + 2, 2):
-        piece = chi_tilde(model, a, b, e, f, L=m1, m=m, attain=S)
-        if piece:
+    for m, piece in chi_tilde_by_m(model, a, b, e, f, m1, attain=S).items():
+        if m % 2 == m0 % 2:
             rhs = rhs + gaussian((m0 + m) // 2, m1) * piece
     rhs = _times_prefactor(rhs, (m0 - m1) ** 2 - beta ** 2)
     params = {"p": p, "pp": pp, "a": a, "b": b, "e": e, "f": f,
@@ -474,9 +473,8 @@ def verify_bd_bijection(p: int, pp: int, a: int, b: int, e: int, f: int,
     alpha = b - a
     beta = model.floor_mult(b) - model.floor_mult(a) + (1 - f) - (1 - e)
     rhs = QPoly.zero()
-    for m in range((m0 - m1) % 2, m1 + 2, 2):
-        piece = chi_tilde(dual, a, b, e, f, L=m1, m=m, attain=S)
-        if piece:
+    for m, piece in chi_tilde_by_m(dual, a, b, e, f, m1, attain=S).items():
+        if m % 2 == (m0 - m1) % 2:
             rhs = rhs + gaussian((m0 + m1 - m) // 2, m1) * piece.invert_q()
     rhs = _times_prefactor(rhs, m1 ** 2 + (m0 - m1) ** 2 - alpha ** 2 - beta ** 2)
     params = {"p": p, "pp": pp, "a": a, "b": b, "e": e, "f": f,

@@ -1,16 +1,20 @@
 """CLI contract: subcommands, JSON I/O, exit codes, determinism."""
 
+import io
 import json
 import multiprocessing
 import os
+from contextlib import redirect_stderr, redirect_stdout
+from itertools import accumulate
 from pathlib import Path as FsPath
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fbpaths.cli as cli
 from fbpaths import Model, QPoly, chi
 from fbpaths.cli import main
-from helpers import step_count
+from helpers import coprime_pairs, step_count
 
 FIXTURES = FsPath(__file__).parent / "fixtures"
 
@@ -252,6 +256,31 @@ def test_out_of_memory_is_a_usage_error(capsys, monkeypatch):
     assert err.startswith("error: out of memory") and "Traceback" not in err
 
 
+HUGE = "100000000000000000000"
+
+
+@pytest.mark.parametrize("argv", [
+    ("chi", "bosonic", "--p", "2", "--pp", "5", "--a", "1", "--b", "2", "--L", HUGE + "1"),
+    ("chi", "enumerate", "--p", "2", "--pp", "5", "--a", "1", "--b", "2", "--c", "3",
+     "--L", HUGE + "1"),
+    ("chi", "enumerate", "--p", "2", "--pp", "5", "--a", "1", "--b", "1", "--e", "0",
+     "--f", "0", "--L", HUGE),
+    ("transform", "b2", "--k", HUGE),
+    ("transform", "bd", "--k", HUGE),
+])
+def test_huge_integers_are_a_usage_error(capsys, tmp_path, argv):
+    # 1 means a verification mismatch: an integer too large to index, range
+    # over or shift by is the caller's error
+    winged = tmp_path / "winged.json"
+    winged.write_text(json.dumps({"p": 2, "pp": 5, "heights": [1, 2, 3],
+                                  "boundary": {"e": 0, "f": 0}}))
+    if argv[0] == "transform":
+        argv += ("--input", str(winged))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: a number is too large") and "Traceback" not in err
+
+
 def test_usage_errors(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"p": 3, "pp": 8, "heights": [1, 3],
@@ -317,3 +346,105 @@ def test_deeply_nested_path_json_is_a_usage_error(capsys, tmp_path):
         code, out, err = run(capsys, *argv, "--input", str(bad))
         assert code == 2 and out == ""
         assert "nests too deeply" in err and "Traceback" not in err
+
+
+# -- the exit contract on random input -------------------------------------------
+
+INTS = st.integers(-3, 12).map(str)
+MODELS = st.sampled_from(coprime_pairs(12)) | st.tuples(st.integers(-3, 12),
+                                                             st.integers(-3, 12))
+JSON_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                  max_size=4),
+    max_leaves=8)
+WALKS = st.builds(lambda h0, steps: list(accumulate([h0, *steps])),
+                  st.integers(-3, 12), st.lists(st.sampled_from((-1, 1)), max_size=10))
+WINGS = st.integers(0, 1) | st.integers(-3, 12)
+PATH_DOCS = st.builds(
+    lambda model, heights, boundary: {"p": model[0], "pp": model[1],
+                                      "heights": heights, "boundary": boundary},
+    MODELS, WALKS | JSON_DOCS,
+    st.builds(lambda c: {"c": c}, st.integers(-3, 12))
+    | st.builds(lambda e, f: {"e": e, "f": f}, WINGS, WINGS) | JSON_DOCS)
+
+
+def _winged_path(model, h0, steps, e, f):
+    """A winged path in `model`: steps that would leave the grid turn back."""
+    p, pp = model
+    heights = [1 + h0 % (pp - 1)]
+    for step in steps:
+        h = heights[-1] + step
+        heights.append(h if 0 < h < pp else h - 2 * step)
+    return {"p": p, "pp": pp, "heights": heights, "boundary": {"e": e, "f": f}}
+
+
+WINGED_PATHS = st.builds(_winged_path, st.sampled_from(coprime_pairs(8)),
+                         st.integers(0, 12), st.lists(st.sampled_from((-1, 1)), max_size=10),
+                         st.integers(0, 1), st.integers(0, 1))
+PATH_FILES = st.one_of(WINGED_PATHS.map(json.dumps), PATH_DOCS.map(json.dumps),
+                       JSON_DOCS.map(json.dumps), st.text(max_size=8),
+                       st.just("[" * 100_000))
+COMMA_LISTS = st.lists(INTS | st.text(max_size=3), max_size=4).map(",".join) \
+    | st.text(max_size=8)
+FORMS = st.lists(st.sampled_from(cli.ALL_FORMS + ("", " junk")), max_size=5).map(",".join) \
+    | st.text(max_size=8)
+
+
+def _command(head, model=False, required=(), **optional):
+    """argv strategy: `head`, then --p/--pp from MODELS when `model`, each
+    (name, strategy) of `required`, and each optional option absent or
+    given a drawn value (a None strategy is a bare flag)."""
+    parts = [MODELS.map(lambda m: ("--p", str(m[0]), "--pp", str(m[1])))] if model else []
+    parts += [value.map(lambda v, n=name: (f"--{n}", v)) for name, value in required]
+    parts += [st.just(()) | (st.just((f"--{name}",)) if value is None
+                             else value.map(lambda v, n=name: (f"--{n}", v)))
+              for name, value in optional.items()]
+    return st.tuples(*parts).map(lambda tails: (*head, *sum(tails, ())))
+
+
+def _argvs():
+    endpoints = dict(model=True, required=[("a", INTS), ("b", INTS), ("L", INTS)])
+    chi_opts = dict(c=INTS, format=st.sampled_from(("json", "text", "xml")))
+    transforms = ("b1", "b2", "b3", "d", "bd", "decompose")
+    return st.one_of(
+        _command(("model", "show"), model=True, format=st.sampled_from(("json", "text"))),
+        _command(("chi", "enumerate"), **endpoints, **chi_opts, e=WINGS.map(str),
+                 f=WINGS.map(str), m=INTS, **{"with-heights": COMMA_LISTS}),
+        _command(("chi", "bosonic"), **endpoints, **chi_opts),
+        _command(("chi", "fermionic"), **endpoints, **chi_opts, tprime=None,
+                 form=st.sampled_from(("classical", "modified"))),
+        _command(("path", "weight"), required=[("input", st.just("PATH")),
+                                               ("variant", st.sampled_from(("wt", "wtilde")))]),
+        _command(("path", "striking"), required=[("input", st.just("PATH"))]),
+        st.sampled_from(transforms).flatmap(lambda kind: _command(
+            ("transform", kind), required=[("input", st.just("PATH"))], k=INTS,
+            direction=st.sampled_from(("B", "BD")), **{"lambda": COMMA_LISTS})),
+        _command(("mn", "solve"), **endpoints, tprime=None),
+        # a small grid, and --jobs below 2, so no process pool starts
+        _command(("verify", "identity"), required=[("ppmax", st.integers(-3, 6).map(str)),
+                                                   ("Lmax", st.integers(-3, 6).map(str))],
+                 jobs=st.sampled_from(("-1", "0", "1")), forms=FORMS),
+    )
+
+
+@pytest.fixture(scope="module")
+def fuzz_input(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "path.json"
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_argvs(), doc=PATH_FILES)
+def test_every_command_keeps_the_exit_contract(fuzz_input, argv, doc):
+    # 0 = ok, 1 = a verification mismatch, 2 = a usage error; never an
+    # escaping exception
+    fuzz_input.write_text(doc)
+    argv = [str(fuzz_input) if x == "PATH" else x for x in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

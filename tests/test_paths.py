@@ -9,6 +9,8 @@ from pathlib import Path as FsPath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fbpaths.cli as cli
+import fbpaths.paths as paths
 from fbpaths import (
     Model, Path, PostSeg, QPoly, Wings, build_system, chi, chi_tilde, chi_tilde_by_m,
     chi_tilde_restricted, classify_vertex, continued_fraction, d_transform,
@@ -354,6 +356,17 @@ def test_transfer_equals_enumeration_property(data):
     for m in range(L + 2):
         assert chi_tilde(model, a, b, e, f, L, m=m, attain=attain) == \
             by_m.get(m, QPoly.zero())
+
+
+def test_chi_computes_one_prefix_per_model_start_and_length():
+    # the transfer prefix does not depend on b or c: on the identity-sweep
+    # grid, records sharing (p, p', a, L) compute it once
+    tasks = list(cli.iter_identity_tasks(8, 12, ("enumerate", "bosonic")))
+    paths._transfer_prefix.cache_clear()
+    for p, pp, a, b, c, L, _ in tasks:
+        chi(Model(p, pp), a, b, c, L)
+    shared = {(p, pp, a, L) for p, pp, a, _, _, L, _ in tasks}
+    assert paths._transfer_prefix.cache_info().misses == len(shared) == 1300
 
 
 def test_chi_rejects_heights_outside_the_grid():
