@@ -9,7 +9,7 @@ from .paths import (
     Path, PathStats, PostSeg, StrikingSequence, Wings, chi, chi_tilde,
     chi_tilde_by_m, chi_tilde_restricted, classify_vertex,
     iter_height_seqs, path_from_json, path_stats,
-    path_to_json, postseg_path, rebuild_path, striking_sequence,
+    path_to_json, postseg_path, striking_sequence,
     weight_from_striking, weight_wt, weight_wtilde, wings_path,
 )
 from .transforms import (

@@ -108,9 +108,8 @@ def c_from_b(p: int, pp: int, b: int) -> int:
 
 # -- the constant-sign system --------------------------------------------------
 
-class GammaTrace(namedtuple("GammaTrace", "alpha beta gamma alpha_dd beta_p gamma_dd")):
-    """The three iterated sequences (index j = 0..t) and their intermediates
-    alpha''_j (alpha_dd), beta'_j (beta_p) and gamma''_j (gamma_dd)."""
+class GammaTrace(namedtuple("GammaTrace", "alpha beta gamma")):
+    """The three iterated sequences, index j = 0..t."""
     __slots__ = ()
 
 
@@ -130,11 +129,6 @@ class FermionicSystem(namedtuple("FermionicSystem", "tak a b u_L u_R delta_L del
     def t(self) -> int:
         return self.tak.t
 
-    def _rows(self, first: int) -> tuple[tuple[int, ...], ...]:
-        t = self.t
-        return tuple(tuple({i - 1: -1, i: mid, i + 1: hi}.get(j, 0) for j in range(t))
-                     for i, (mid, hi) in enumerate(self.band[first:first + t], first))
-
     @cached_property
     def exponent_rows(self) -> tuple[tuple[int, int, int], ...]:
         """(mid_i, hi_{i-1} - 1, -2 w_i) for i = 0..t-1, with w = u_L^flat +
@@ -146,16 +140,6 @@ class FermionicSystem(namedtuple("FermionicSystem", "tak a b u_L u_R delta_L del
         band = self.band
         return ((band[0][0] - 1, 0, 0),
                 *((band[i][0], band[i - 1][1] - 1, -2 * w[i - 1]) for i in range(1, self.t)))
-
-    @property
-    def C(self) -> tuple[tuple[int, ...], ...]:
-        """Dense t x t matrix C: band rows 0..t-1, columns 0..t-1."""
-        return self._rows(0)
-
-    @property
-    def C_hat(self) -> tuple[tuple[int, ...], ...]:
-        """Dense t x t matrix: band rows 1..t (stored 0-based), columns 0..t-1."""
-        return self._rows(1)
 
 
 def _takahashi_vectors(t: int, boundaries: set[int], kind: str, sigma: int):
@@ -181,23 +165,16 @@ def _gamma_iteration(band, delta_L, delta_R) -> GammaTrace:
     alpha = [0] * (t + 1)
     beta = [0] * (t + 1)
     gamma = [0] * (t + 1)
-    alpha_dd = [0] * (t + 1)
-    beta_p = [0] * (t + 1)
-    gamma_dd = [0] * (t + 1)
     for j in range(t, 0, -1):
+        # beta'_{j-1}, alpha''_{j-1} (which is alpha_{j-1}) and gamma''_{j-1}
         bp = beta[j] + delta_L[j - 1] - delta_R[j - 1]
-        gp = gamma[j] + 2 * alpha[j] * delta_R[j - 1]
-        add = alpha[j] + bp
-        gdd = gp - bp * bp
-        beta_p[j - 1] = bp
-        alpha_dd[j - 1] = add
-        gamma_dd[j - 1] = gdd
+        alpha[j - 1] = add = alpha[j] + bp
+        gdd = gamma[j] + 2 * alpha[j] * delta_R[j - 1] - bp * bp
         if band[j - 1] == (1, 1):  # j - 1 is a zone boundary
-            alpha[j - 1], beta[j - 1], gamma[j - 1] = add, add - bp, -add * add - gdd
+            beta[j - 1], gamma[j - 1] = add - bp, -add * add - gdd
         else:
-            alpha[j - 1], beta[j - 1], gamma[j - 1] = add, bp, gdd
-    return GammaTrace(tuple(alpha), tuple(beta), tuple(gamma),
-                      tuple(alpha_dd), tuple(beta_p), tuple(gamma_dd))
+            beta[j - 1], gamma[j - 1] = bp, gdd
+    return GammaTrace(tuple(alpha), tuple(beta), tuple(gamma))
 
 
 @lru_cache(maxsize=4096)
@@ -395,15 +372,16 @@ def _fermionic_sums(p: int, pp: int, a: int, b: int, L: int, prefer_t_prime: boo
 def fermionic_classical(p: int, pp: int, a: int, b: int, L: int,
                         prefer_t_prime: bool = False) -> QPoly:
     """Constant-sign sum with classical Gaussians plus the smaller-model tail."""
+    system = build_system(p, pp, a, b, prefer_t_prime)  # checks a and b at every L
     if L < 0 or (L + a - b) % 2:
         return QPoly.zero()
-    kept = _fermionic_sums(p, pp, a, b, L, prefer_t_prime)[0]
-    return kept + _classical_tail(build_system(p, pp, a, b, prefer_t_prime), L)
+    return _fermionic_sums(p, pp, a, b, L, prefer_t_prime)[0] + _classical_tail(system, L)
 
 
 def fermionic_modified(p: int, pp: int, a: int, b: int, L: int,
                        prefer_t_prime: bool = False) -> QPoly:
     """Constant-sign sum with modified Gaussians; no tail term."""
+    build_system(p, pp, a, b, prefer_t_prime)  # checks a and b at every L
     if L < 0 or (L + a - b) % 2:
         return QPoly.zero()
     return _fermionic_sums(p, pp, a, b, L, prefer_t_prime)[1]

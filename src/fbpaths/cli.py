@@ -16,13 +16,12 @@ import time
 
 from .model import Model, continued_fraction, coprime_pairs, format_model_tables
 from .paths import (
-    Path, PostSeg, Wings, chi, chi_tilde_restricted, path_from_json,
+    Path, chi, chi_tilde_restricted, path_from_json,
     path_to_json, striking_sequence, weight_wt, weight_wtilde,
 )
 from .qpoly import QPoly
 from .transforms import (
-    TransformError, _first_mismatch, b1, b2, b3, b_transform, bd_transform,
-    d_transform, decompose,
+    _first_mismatch, b1, b2, b3, bd_transform, d_transform, decompose,
 )
 from .characters import (
     bosonic, build_system, c_from_b, c_from_b_info, fermionic_classical,
@@ -327,7 +326,7 @@ def main(argv=None) -> int:
             with open(args.output, "w") as fh:
                 return run_verify_identity(args.ppmax, args.Lmax, args.jobs, forms, fh)
         return run_verify_identity(args.ppmax, args.Lmax, args.jobs, forms, sys.stdout)
-    except (ValueError, TransformError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # TransformError and JSONDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

@@ -32,22 +32,10 @@ class Model(namedtuple("Model", "p pp")):
         """floor(a p / p')."""
         return a * self.p // self.pp
 
-    def band_parity(self, h: int) -> int:
-        """1 if band h (between heights h and h+1) is odd, 0 if even."""
-        if not 1 <= h <= self.pp - 2:
-            raise ValueError(f"band index {h} outside 1..{self.pp - 2}")
-        return 1 if self.floor_mult(h) != self.floor_mult(h + 1) else 0
-
     def band_parities(self) -> tuple[int, ...]:
         """Parities of bands 1..p'-2 (index 0 is band 1)."""
         f = [a * self.p // self.pp for a in range(self.pp + 1)]
         return tuple(1 if f[h] != f[h + 1] else 0 for h in range(1, self.pp - 1))
-
-    def odd_band_position(self, r: int) -> int:
-        """Band index of the r-th odd band, 1 <= r < p."""
-        if not 1 <= r < self.p:
-            raise ValueError(f"odd band index {r} outside 1..{self.p - 1}")
-        return r * self.pp // self.p
 
     def is_interfacial(self, a: int) -> bool:
         """True when height a lies between an odd and an even band."""

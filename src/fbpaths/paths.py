@@ -244,10 +244,6 @@ def rebuild_heights(widths, d: int, h0: int) -> tuple[int, ...]:
     return tuple(hs)
 
 
-def rebuild_path(ss: StrikingSequence, model: Model, h0: int) -> Path:
-    return Path(model, rebuild_heights(ss.widths, ss.d, h0), Wings(ss.e, ss.f))
-
-
 # -- path parameters ---------------------------------------------------------
 
 class PathStats(namedtuple("PathStats", "m alpha beta pi d")):
@@ -362,7 +358,7 @@ def _transfer(model: Model, a: int, b: int, L: int, boundary: PostSeg | Wings,
     pp = model.pp
     if not all(0 < s < pp for s in attain):
         raise ValueError(f"attained heights {sorted(attain)} must lie in 1..p'-1")
-    if L < 0:
+    if L < 0 or (L + a - b) % 2 or abs(b - a) > L:  # no path joins a to b
         return {}
     first_up, last_up, wing = _ends(boundary, b)
     states = _transfer_prefix(model.p, pp, a, L, first_up, attain, by_m)

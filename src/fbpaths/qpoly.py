@@ -158,10 +158,6 @@ class QPoly:
         """JSON form: {"exponent": "coefficient"}, ascending."""
         return {str(e): str(c) for e, c in sorted(self._terms.items())}
 
-    @staticmethod
-    def from_json_dict(d: dict[str, str]) -> QPoly:
-        return QPoly({int(e): int(c) for e, c in d.items()})
-
 
 # -- exact division ----------------------------------------------------------
 

@@ -283,6 +283,9 @@ def decompose(path: Path, direction: str = "B") -> tuple[Path, int, tuple[int, .
         raise TransformError("direction must be 'B' or 'BD'")
     if model.pp <= 2 * model.p:
         raise TransformError("decomposition needs p' > 2p")
+    if direction == "BD" and model.pp >= 3 * model.p:
+        # bd_transform maps (q, q') with q' > 2q to (q' - q, 2q' - q): p' < 3p
+        raise TransformError("path is not in the image of the composite transform")
     if model.delta(path.a, e) != 0 or model.delta(path.b, f) != 0:
         raise TransformError("decomposition needs even pre- and post-segment bands")
     heights = list(path.heights)

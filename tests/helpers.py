@@ -240,7 +240,7 @@ def leaf_filtered_walk(system, L, modified):
     keeps n >= 0; the modified rule also keeps n_j < 0 when m_j = 0."""
     t = system.t
     u = [x + y for x, y in zip(system.u_L, system.u_R)]
-    C_hat = system.C_hat
+    C_hat = dense_rows(system, 1)
     for m_hat in unpruned_walk(system, L):
         n = []
         for j in range(1, t + 1):
@@ -252,6 +252,24 @@ def leaf_filtered_walk(system, L, modified):
         if any(n[j - 1] < 0 and not (modified and m_hat[j] == 0) for j in range(1, t)):
             continue
         yield m_hat, tuple(n)
+
+
+def dense_rows(system, first):
+    """The paper's dense t x t matrices from the band of characters.build_system:
+    C (first = 0, band rows 0..t-1) or C-hat (first = 1, band rows 1..t), over
+    columns 0..t-1.  Band row i reads -m_{i-1} + mid*m_i + hi*m_{i+1}."""
+    t = system.t
+    return tuple(tuple({i - 1: -1, i: mid, i + 1: hi}.get(j, 0) for j in range(t))
+                 for i, (mid, hi) in enumerate(system.band[first:first + t], first))
+
+
+def beta_prime(system):
+    """beta'_j = beta_{j+1} + delta^L_j - delta^R_j for j = 0..t-1 and 0 at
+    j = t: the intermediate of the gamma-iteration behind system.trace.beta
+    (delta_L and delta_R hold component j + 1 at index j)."""
+    beta = system.trace.beta
+    return tuple(beta[j + 1] + dl - dr
+                 for j, (dl, dr) in enumerate(zip(system.delta_L, system.delta_R))) + (0,)
 
 
 def dense_parity(C_hat, u):
@@ -270,11 +288,11 @@ def dense_parity(C_hat, u):
 def dense_exponents(system, m_hats):
     """Oracle for the exponent of characters._term: (m_hat^T C m_hat - L^2 -
     2 w.m + gamma)/4 for each m_hat, with w = u_L^flat + u_R^sharp and the
-    quadratic form summed over the dense rows of system.C."""
+    quadratic form summed over the dense rows of C."""
     tak = system.tak
     w = [fl + sh for fl, sh in zip(flat_sharp(system.u_L, tak, "flat"),
                                    flat_sharp(system.u_R, tak, "sharp"))]
-    C = system.C
+    C = dense_rows(system, 0)
     out = []
     for m_hat in m_hats:
         quad = sum(mi * c * mj for row, mi in zip(C, m_hat) for c, mj in zip(row, m_hat))
@@ -356,7 +374,8 @@ def beta_closed_form(model, a, b, e, f):
 
 
 def submodel_parity_check(model):
-    """Check that bands 1..y_n-2 of (p,p') match the (z_n, y_n) model.
+    """Check that the parities of bands 1..y_n-2 of (p,p') are those of the
+    (z_n, y_n) model.
 
     The range is vacuous when y_n - 2 < 1 (in particular for n = 0).
     """
@@ -365,4 +384,4 @@ def submodel_parity_check(model):
     if yn - 2 < 1:
         return True
     sub = Model(zn, yn)
-    return all(model.band_parity(s) == sub.band_parity(s) for s in range(1, yn - 1))
+    return model.band_parities()[:yn - 2] == sub.band_parities()

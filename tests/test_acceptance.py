@@ -14,15 +14,16 @@ from fbpaths import (
     build_system, c_from_b, chi, classify_vertex, continued_fraction,
     d_transform, decompose, fermionic_classical, fermionic_modified,
     fermionic_terms, gaussian, gaussian_modified, groundstate_label,
-    iter_height_seqs, path_from_json, path_stats, rebuild_path,
+    iter_height_seqs, path_from_json, path_stats,
     rocha_caridi_truncated, striking_sequence, truncate_left, truncate_right,
     verify_b_bijection, verify_bd_bijection, weight_from_striking, weight_wt,
     weight_wtilde, wings_path,
 )
+from fbpaths.paths import rebuild_heights
 from fbpaths.transforms import TransformError, extend_left, extend_right
 from helpers import (
-    beta_closed_form, box_partition_oracle, coprime_pairs, partitions_in_box,
-    submodel_parity_check, winged_paths,
+    beta_closed_form, beta_prime, box_partition_oracle, coprime_pairs, dense_rows,
+    partitions_in_box, submodel_parity_check, winged_paths,
 )
 
 FIXTURES = FsPath(__file__).parent / "fixtures"
@@ -53,7 +54,7 @@ def test_criterion_2_golden_tables():
     assert tak.kappa_tilde[:8] == (1, 1, 1, 1, 2, 3, 5, 7)
     assert tak.ell[1:] == (1, 2, 1, 4, 3, 10, 17, 24)
     sys = build_system(9, 31, 1, 1)
-    assert [list(r) for r in sys.C] == [
+    assert [list(r) for r in dense_rows(sys, 0)] == [
         [2, -1, 0, 0, 0, 0, 0],
         [-1, 2, -1, 0, 0, 0, 0],
         [0, -1, 1, 1, 0, 0, 0],
@@ -62,7 +63,7 @@ def test_criterion_2_golden_tables():
         [0, 0, 0, 0, -1, 2, -1],
         [0, 0, 0, 0, 0, -1, 2],
     ]
-    assert [list(r) for r in sys.C_hat] == [
+    assert [list(r) for r in dense_rows(sys, 1)] == [
         [-1, 2, -1, 0, 0, 0, 0],
         [0, -1, 1, 1, 0, 0, 0],
         [0, 0, -1, 2, -1, 0, 0],
@@ -201,7 +202,7 @@ def test_criterion_7_lemma_suite():
             assert st.beta == beta_closed_form(m, h.a, h.b, e, f)
             tick("alpha-beta")
             if h.L:
-                assert rebuild_path(ss, m, h.a).heights == h.heights
+                assert rebuild_heights(ss.widths, ss.d, h.a) == h.heights
             # parity-flip map
             hd = d_transform(h)
             std = path_stats(hd)
@@ -314,11 +315,11 @@ def test_criterion_7_lemma_suite():
         for a, b in product(members, repeat=2):
             sys = build_system(p, pp, a, b)
             Q = list(sys.Q) + [0, 0]
-            tr = sys.trace
+            alpha, beta_p = sys.trace.alpha, beta_prime(sys)
             for j in range(sys.t + 1):
-                assert tr.alpha_dd[j] % 2 == Q[j] % 2
-                assert (tr.beta_p[j] - Q[j] + Q[j + 1]) % 2 == 0
-            assert tr.alpha_dd[0] == b - a
+                assert alpha[j] % 2 == Q[j] % 2
+                assert (beta_p[j] - Q[j] + Q[j + 1]) % 2 == 0
+            assert alpha[0] == b - a
             tick("parity-vector")
 
     summary = ", ".join(f"{k}:{v}" for k, v in sorted(counts.items()))

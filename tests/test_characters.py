@@ -14,8 +14,8 @@ from fbpaths import (
 )
 from fbpaths.characters import _classical_tail, _iter_admissible_m, _summands, _term
 from helpers import (
-    coprime_pairs, dense_exponents, dense_parity, leaf_filtered_walk, recursive_walk,
-    step_count, unpruned_walk_size, walk_outcome,
+    beta_prime, coprime_pairs, dense_exponents, dense_parity, dense_rows,
+    leaf_filtered_walk, recursive_walk, step_count, unpruned_walk_size, walk_outcome,
 )
 
 
@@ -100,8 +100,8 @@ def test_build_system_golden_9_31():
         (0, 0, 0, 0, 0, -1, 2),
         (0, 0, 0, 0, 0, 0, -1),
     ]
-    assert [list(r) for r in sys.C] == [list(r) for r in C]
-    assert [list(r) for r in sys.C_hat] == [list(r) for r in C_hat]
+    assert [list(r) for r in dense_rows(sys, 0)] == [list(r) for r in C]
+    assert [list(r) for r in dense_rows(sys, 1)] == [list(r) for r in C_hat]
     assert sys.trace.alpha[sys.t] == sys.trace.beta[sys.t] == sys.trace.gamma[sys.t] == 0
 
 
@@ -116,7 +116,7 @@ def test_build_system_symmetric_endpoints():
     sys = build_system(11, 38, 10, 10)
     assert sys.u_L == sys.u_R
     assert sys.delta_L == sys.delta_R
-    assert sys.trace.alpha_dd[0] == 0
+    assert sys.trace.alpha[0] == 0
 
 
 def test_flat_sharp():
@@ -136,24 +136,24 @@ def test_flat_sharp():
 
 
 def test_parity_invariants_sweep():
-    # alpha''_j = Q_j, beta'_j = Q_j - Q_{j+1} (mod 2); alpha''_0 = b - a
+    # alpha_j = alpha''_j = Q_j, beta'_j = Q_j - Q_{j+1} (mod 2); alpha_0 = b - a
     for p, pp in coprime_pairs(24):
         members = takahashi_members(p, pp)
         for a, b in product(members, repeat=2):
             sys = build_system(p, pp, a, b)
             Q = list(sys.Q) + [0, 0]
-            tr = sys.trace
+            alpha, beta_p = sys.trace.alpha, beta_prime(sys)
             for j in range(sys.t + 1):
-                assert tr.alpha_dd[j] % 2 == Q[j] % 2
-                assert (tr.beta_p[j] - Q[j] + Q[j + 1]) % 2 == 0
-            assert tr.alpha_dd[0] == b - a
+                assert alpha[j] % 2 == Q[j] % 2
+                assert (beta_p[j] - Q[j] + Q[j + 1]) % 2 == 0
+            assert alpha[0] == b - a
 
 
 def test_parity_vector_equals_dense_back_substitution():
     for p, pp in coprime_pairs(40):
         tak = continued_fraction(p, pp)
         members = takahashi_members(p, pp)
-        C_hat = build_system(p, pp, members[0], members[0]).C_hat  # one per model
+        C_hat = dense_rows(build_system(p, pp, members[0], members[0]), 1)  # one per model
         # the reading changes a system only for n = 0, where T and T' overlap
         for prefer_t_prime in ((False, True) if tak.n == 0 else (False,)):
             for a, b in product(members, repeat=2):

@@ -219,6 +219,17 @@ def test_chi_at_negative_length_is_the_zero_polynomial(capsys, route, L):
     assert (code, out, err) == (0, "{}\n", "")
 
 
+@pytest.mark.parametrize("form", ["classical", "modified"])
+@pytest.mark.parametrize("a", ["0", "4"])
+@pytest.mark.parametrize("L", ["-1", "0", "1", "2", "3"])
+def test_chi_fermionic_rejects_a_non_takahashi_endpoint_at_every_length(capsys, form, a, L):
+    # (3,8) has no Takahashi length 0 or 4: the answer must not hinge on L's parity
+    code, out, err = run(capsys, "chi", "fermionic", "--p", "3", "--pp", "8", "--a", a,
+                         "--b", "2", "--L", L, "--form", form)
+    assert code == 2 and out == ""
+    assert "is not a Takahashi length" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("forms", ["enumerate,enumerate", "bosonic,enumerate,bosonic"])
 def test_verify_identity_rejects_a_repeated_form(capsys, forms):
     code, out, err = run(capsys, "verify", "identity", "--ppmax", "4", "--Lmax", "4",

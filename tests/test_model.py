@@ -11,8 +11,7 @@ from helpers import coprime_pairs, submodel_parity_check
 
 def test_band_parity_3_8():
     m = Model(3, 8)
-    assert [h for h in range(1, 7) if m.band_parity(h)] == [2, 5]
-    assert m.band_parities() == (0, 1, 0, 0, 1, 0)
+    assert m.band_parities() == (0, 1, 0, 0, 1, 0)  # bands 2 and 5 are odd
 
 
 def test_band_counts():
@@ -24,37 +23,26 @@ def test_band_counts():
 
 
 def test_single_band_of_1_3_is_even():
-    assert Model(1, 3).band_parity(1) == 0
+    assert Model(1, 3).band_parities() == (0,)
 
 
 def test_dual_model_flips_every_parity():
     for p, pp in coprime_pairs(14):
         m = Model(p, pp)
-        md = m.dual()
-        for h in range(1, pp - 1):
-            assert m.band_parity(h) == 1 - md.band_parity(h)
+        assert m.dual().band_parities() == tuple(1 - x for x in m.band_parities())
 
 
 def test_up_down_symmetry():
     for p, pp in coprime_pairs(14):
-        m = Model(p, pp)
-        for h in range(1, pp - 1):
-            assert m.band_parity(h) == m.band_parity(pp - 1 - h)
+        pars = Model(p, pp).band_parities()
+        assert pars == pars[::-1]  # band h and band p' - 1 - h
 
 
 def test_odd_band_position():
-    m = Model(3, 8)
-    assert m.odd_band_position(1) == 2
-    assert m.odd_band_position(2) == 5
-    m11 = Model(3, 11)
-    for r in (1, 2):
-        assert m11.odd_band_position(r) == m.odd_band_position(r) + r
+    # the r-th odd band is band r p' // p, r = 1..p-1, and there are no others
     for p, pp in coprime_pairs(12):
-        m = Model(p, pp)
-        for r in range(1, p):
-            assert m.band_parity(m.odd_band_position(r)) == 1
-    with pytest.raises(ValueError):
-        Model(3, 8).odd_band_position(3)
+        odd = [h for h, x in enumerate(Model(p, pp).band_parities(), 1) if x]
+        assert odd == [r * pp // p for r in range(1, p)]
 
 
 def test_interfacial():
@@ -211,6 +199,4 @@ def test_submodel_parity_check_to_40():
 def test_submodel_example_38_11():
     tak = continued_fraction(11, 38)
     assert (tak.z_of(2), tak.y_of(2)) == (2, 7)
-    m, sub = Model(11, 38), Model(2, 7)
-    for s in range(1, 6):
-        assert m.band_parity(s) == sub.band_parity(s)
+    assert Model(11, 38).band_parities()[:5] == Model(2, 7).band_parities()

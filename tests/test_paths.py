@@ -15,7 +15,7 @@ from fbpaths import (
     Model, Path, PostSeg, QPoly, Wings, build_system, chi, chi_tilde, chi_tilde_by_m,
     chi_tilde_restricted, classify_vertex, continued_fraction, d_transform,
     iter_height_seqs, mn_solutions, path_from_json, path_stats, path_to_json,
-    postseg_path, rebuild_path, striking_sequence, verify_b_bijection,
+    postseg_path, striking_sequence, verify_b_bijection,
     weight_from_striking, weight_wt, weight_wtilde, wings_path,
 )
 from helpers import (
@@ -78,7 +78,8 @@ def test_each_path_is_checked_once(monkeypatch):
     monkeypatch.setattr(Path, "__post_init__", lambda self: calls.append(check(self)))
     path = wings_path(3, 8, [2, 3, 4], 0, 1)
     assert len(calls) == 1
-    rebuild_path(striking_sequence(path), path.model, path.a)
+    ss = striking_sequence(path)
+    Path(path.model, paths.rebuild_heights(ss.widths, ss.d, path.a), Wings(ss.e, ss.f))
     Path(path.model, path.heights, PostSeg(5))
     assert len(calls) == 3
 
@@ -180,7 +181,7 @@ def test_striking_lemma_and_stats_sweep():
             assert (st.m + h.L + st.beta) % 2 == 0
             assert 0 <= st.m <= h.L + 1
             if h.L > 0:
-                assert rebuild_path(ss, m, h.a).heights == h.heights
+                assert paths.rebuild_heights(ss.widths, ss.d, h.a) == h.heights
 
 
 @settings(max_examples=200, deadline=None)
@@ -367,6 +368,21 @@ def test_chi_computes_one_prefix_per_model_start_and_length():
         chi(Model(p, pp), a, b, c, L)
     shared = {(p, pp, a, L) for p, pp, a, _, _, L, _ in tasks}
     assert paths._transfer_prefix.cache_info().misses == len(shared) == 1300
+
+
+def test_unreachable_endpoints_compute_no_prefix():
+    # L of the wrong parity or |b - a| > L: no path joins a to b, so neither
+    # generating function builds (or caches) a transfer prefix for it
+    m = Model(3, 8)
+    paths._transfer_prefix.cache_clear()
+    paths._chi_tilde_by_m.cache_clear()
+    for a, b, L in [(2, 3, 4), (2, 2, 5), (1, 6, 3), (7, 1, 4), (4, 2, 0)]:
+        for c in (b - 1, b + 1):
+            if 1 <= c <= 7:
+                assert chi(m, a, b, c, L) == QPoly.zero()
+        for e, f in product((0, 1), repeat=2):
+            assert chi_tilde_by_m(m, a, b, e, f, L) == {}
+    assert paths._transfer_prefix.cache_info().misses == 0
 
 
 def test_chi_rejects_heights_outside_the_grid():

@@ -371,6 +371,28 @@ def test_decompose_bd_direction():
     assert (base.heights, base.boundary, k, lam) == (h.heights, h.boundary, 1, (1,))
 
 
+def test_decompose_returns_only_preimages():
+    # whatever decompose returns, the forward map of its direction sends it
+    # back; BD images have p' < 3p, since (q, q') with q' > 2q lands in
+    # (q' - q, 2q' - q)
+    forward = {"B": b_transform, "BD": bd_transform}
+    returned = {"B": 0, "BD": 0}
+    for p, pp in coprime_pairs(11):
+        if pp <= 2 * p:
+            continue
+        for x in winged_paths(p, pp, 6):
+            for d, fwd in forward.items():
+                try:
+                    base, k, lam = decompose(x, d)
+                except TransformError:
+                    continue
+                back = fwd(base, k, lam)
+                assert (back.model, back.heights, back.boundary) == \
+                    (x.model, x.heights, x.boundary), (x, d)
+                returned[d] += 1
+    assert returned["B"] and returned["BD"]
+
+
 def test_extend_left_right():
     for p, pp in [(3, 8), (2, 5)]:
         m = Model(p, pp)
