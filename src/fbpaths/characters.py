@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property, lru_cache
+from itertools import chain
 from math import comb, prod
 
 from .model import Model, TakahashiData, continued_fraction
@@ -38,18 +39,17 @@ def bosonic(p: int, pp: int, a: int, b: int, c: int, L: int) -> QPoly:
         return QPoly.zero()
     r = groundstate_label(p, pp, b, c)
     base = (L + a - b) // 2
-    out = QPoly.zero()
-    # positive sum: Gaussian lower index base - p'*lam must lie in 0..L
-    for lam in range(-((L - base) // pp), base // pp + 1):
-        ex = lam * lam * p * pp + lam * (pp * r - p * a)
-        out = out + gaussian(L, base - pp * lam).shift(ex)
+    # positive sum: Gaussian lower index base - p'*lam must lie in 0..L;
     # negative sum: lower index base - p'*lam - a in 0..L
-    lo = -((L - base + a) // pp)
-    hi = (base - a) // pp
-    for lam in range(lo, hi + 1):
-        ex = (lam * p + r) * (lam * pp + a)
-        out = out - gaussian(L, base - pp * lam - a).shift(ex)
-    return out
+    positive = ((lam * lam * p * pp + lam * (pp * r - p * a), base - pp * lam, 1)
+                for lam in range(-((L - base) // pp), base // pp + 1))
+    negative = (((lam * p + r) * (lam * pp + a), base - pp * lam - a, -1)
+                for lam in range(-((L - base + a) // pp), (base - a) // pp + 1))
+    terms: dict[int, int] = {}
+    for ex, k, sign in chain(positive, negative):
+        for e, coeff in gaussian(L, k).terms.items():
+            terms[e + ex] = terms.get(e + ex, 0) + sign * coeff
+    return QPoly(terms)
 
 
 def partition_series(N: int) -> QPoly:

@@ -13,10 +13,13 @@ import json
 import os
 import sys
 import time
+from contextlib import ExitStack
+from itertools import chain, groupby, islice
+from operator import itemgetter
 
 from .model import Model, continued_fraction, coprime_pairs, format_model_tables
 from .paths import (
-    Path, chi, chi_tilde_restricted, path_from_json,
+    Path, chi, chi_block, chi_tilde_restricted, path_from_json,
     path_to_json, striking_sequence, weight_wt, weight_wtilde,
 )
 from .qpoly import QPoly
@@ -40,11 +43,17 @@ def _print_poly(poly: QPoly, fmt: str) -> None:
 ALL_FORMS = ("enumerate", "bosonic", "fermionic-classical", "fermionic-modified")
 
 
+# chi of each task of the (p, p', a) block that _identity_block verifies,
+# keyed by the task's first six entries: _identity_record keeps its one
+# argument, so a caller can wrap it (perfbench/traced_cli.py does)
+_block_chi: dict[tuple, QPoly] = {}
+
+
 def _identity_record(task) -> dict:
     p, pp, a, b, c, L, forms = task
     values = {}
     if "enumerate" in forms:
-        values["enumerate"] = chi(Model(p, pp), a, b, c, L)
+        values["enumerate"] = _block_chi[task[:6]]
     if "bosonic" in forms:
         values["bosonic"] = bosonic(p, pp, a, b, c, L)
     if "fermionic-classical" in forms:
@@ -64,6 +73,20 @@ def _identity_record(task) -> dict:
             break
     return {"p": p, "pp": pp, "a": a, "b": b, "c": c, "L": L,
             "forms": names, "equal": mismatch is None, "mismatch": mismatch}
+
+
+def _identity_block(tasks: list[tuple]) -> tuple[str, int, int]:
+    """(report lines, record count, failure count) of the tasks of one
+    (p, p', a) block: one chi_block transfer gives chi for all of them."""
+    p, pp, a = tasks[0][:3]
+    _block_chi.clear()
+    if "enumerate" in tasks[0][6]:
+        table = chi_block(Model(p, pp), a, max(t[5] for t in tasks))
+        zero = QPoly.zero()
+        _block_chi.update((t[:6], table.get(t[3:6], zero)) for t in tasks)
+    records = [_identity_record(t) for t in tasks]
+    return ("".join(json.dumps(rec) + "\n" for rec in records), len(records),
+            sum(not rec["equal"] for rec in records))
 
 
 def iter_identity_tasks(ppmax: int, lmax: int, forms):
@@ -88,23 +111,25 @@ def iter_identity_tasks(ppmax: int, lmax: int, forms):
 
 
 def run_verify_identity(ppmax: int, lmax: int, jobs: int, forms, out) -> int:
+    """Verify the sweep in (p, p', a) blocks, writing each block's records
+    as it arrives, in report order, then the summary line."""
     t0 = time.time()
-    tasks = list(iter_identity_tasks(ppmax, lmax, forms))
-    if jobs > 1:
-        from multiprocessing import Pool  # only the parallel sweep pays for it
-        # about 16 contiguous blocks per worker: neighbouring tasks share the
-        # model and (a, b, L), so a worker warms the caches of few models
-        chunksize = max(1, -(-len(tasks) // (16 * jobs)))
-        with Pool(jobs) as pool:
-            records = pool.map(_identity_record, tasks, chunksize=chunksize)
-    else:
-        records = [_identity_record(t) for t in tasks]
-    failures = 0
-    for rec in records:
-        if not rec["equal"]:
-            failures += 1
-        out.write(json.dumps(rec) + "\n")
-    summary = {"records": len(records), "failures": failures,
+    blocks = (list(run) for _, run in groupby(iter_identity_tasks(ppmax, lmax, forms),
+                                              itemgetter(0, 1, 2)))
+    head = list(islice(blocks, jobs))  # a grid of fewer blocks starts fewer workers
+    blocks = chain(head, blocks)
+    records = failures = 0
+    with ExitStack() as stack:
+        if len(head) > 1:
+            from multiprocessing import Pool  # only the parallel sweep pays for it
+            results = stack.enter_context(Pool(len(head))).imap(_identity_block, blocks)
+        else:
+            results = map(_identity_block, blocks)
+        for text, n, fails in results:
+            out.write(text)
+            records += n
+            failures += fails
+    summary = {"records": records, "failures": failures,
                "wall_time_s": round(time.time() - t0, 3)}
     out.write(json.dumps({"summary": summary}) + "\n")
     return 0 if failures == 0 else 1

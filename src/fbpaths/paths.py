@@ -305,39 +305,51 @@ def iter_height_seqs(model: Model, a: int, b: int, L: int):
 
 @lru_cache(maxsize=1024)
 def _vertex_moves(p: int, pp: int) -> dict[tuple[int, bool, bool], tuple]:
-    """moves[h, in_up, wing]: (out_up, next height, scoring) both ways out of
-    height h, down first, scoring as _score flags the one-vertex sequence (h,)."""
+    """moves[h, in_up, wing]: (out_up, next height, scoring) for the ways out
+    of height h, down first, scoring as _score flags the one-vertex sequence
+    (h,).  A path stays in the band 1..p'-1; a wing is a direction, so a
+    wing vertex keeps both ways out."""
     par = _parity_table(p, pp)
-    return {(h, i, w): tuple((o, h + 1 if o else h - 1, _score(par, (h,), i, o, w)[1][0])
-                             for o in (False, True))
+    return {(h, i, w): tuple((o, nh, _score(par, (h,), i, o, w)[1][0])
+                             for o, nh in ((False, h - 1), (True, h + 1)) if w or 0 < nh < pp)
             for h in range(1, pp) for i in (False, True) for w in (False, True)}
+
+
+def _step(moves, states, i: int, a: int, bits: int, attain: int, by_m: bool,
+          wing: bool = False) -> dict[tuple[int, bool, int, int], int]:
+    """The states after vertex i, from the (state, packed) pairs before it.
+
+    A state is (h_i, direction into vertex i, mask of the heights met before,
+    m so far), bit h of a mask standing for height h; only the heights of
+    the `attain` mask are kept.  A scoring vertex shifts the packed
+    polynomial, `bits` bits a coefficient, by the vertex's coordinate (see
+    _score); a non-scoring one adds by_m to m.
+    """
+    nxt: dict[tuple[int, bool, int, int], int] = {}
+    for (h, in_up, mask, m), packed in states:
+        mask |= attain & (1 << h)
+        for up, nh, scoring in moves[h, in_up, wing]:
+            if scoring:
+                key = (nh, up, mask, m)
+                packed_out = packed << bits * ((i - h + a) // 2 if in_up else (i + h - a) // 2)
+            else:
+                key, packed_out = (nh, up, mask, m + by_m), packed
+            nxt[key] = nxt.get(key, 0) + packed_out
+    return nxt
 
 
 @lru_cache(maxsize=256)
 def _transfer_prefix(p: int, pp: int, a: int, L: int, first_up: bool,
-                     attain: frozenset[int], by_m: bool) -> tuple[tuple[tuple, int], ...]:
-    """The states (h_L, direction into vertex L, bitmask of the `attain`
-    heights met before, m so far) after the vertices 0..L-1 from a, each with
-    its packed polynomial, as (state, packed) pairs: everything but the final
+                     attain: int, by_m: bool) -> tuple[tuple[tuple, int], ...]:
+    """The states (see _step) after the vertices 0..L-1 from a, each with its
+    packed polynomial, as (state, packed) pairs: everything but the final
     vertex, which alone reads the endpoint b and the boundary's c or f.
     """
     moves = _vertex_moves(p, pp)
     bits = 8 * (L // 8 + 1)
-    bit = {s: 1 << k for k, s in enumerate(sorted(attain))}
     states = {(a, first_up, 0, 0): 1}
     for i in range(L):
-        nxt: dict[tuple[int, bool, int, int], int] = {}
-        for (h, in_up, mask, m), packed in states.items():
-            mask |= bit.get(h, 0)
-            for up, nh, scoring in moves[h, in_up, False]:
-                if 0 < nh < pp:
-                    if scoring:
-                        key = (nh, up, mask, m)
-                        val = packed << bits * ((i - h + a) // 2 if in_up else (i + h - a) // 2)
-                    else:
-                        key, val = (nh, up, mask, m + by_m), packed
-                    nxt[key] = nxt.get(key, 0) + val
-        states = nxt
+        states = _step(moves, states.items(), i, a, bits, attain, by_m)
     return tuple(states.items())
 
 
@@ -347,13 +359,13 @@ def _transfer(model: Model, a: int, b: int, L: int, boundary: PostSeg | Wings,
     keyed by the non-scoring count m (all under 0 unless by_m).
 
     A recurrence over the vertices i = 0..L on the states (h_i, direction
-    into vertex i, bitmask of the `attain` heights met before, m so far),
+    into vertex i, mask of the `attain` heights met before, m so far),
     each packing its polynomial into one int, coefficient j at byte offset
     j * width: no count exceeds the 2^L paths, so L + 1 bits never carry.
-    A scoring vertex shifts it by the vertex's coordinate (see _score).
     Vertices 0..L-1 see neither b, c nor f, so every endpoint shares one
-    cached _transfer_prefix; here its states at h_L = b take vertex L, which
-    steps out to b + 1 or b - 1, as its boundary says.  Callers check a and b.
+    cached _transfer_prefix; here its states at h_L = b take vertex L, and
+    those that step out to b + 1 or b - 1 as the boundary says are summed.
+    Callers check a and b.
     """
     pp = model.pp
     if not all(0 < s < pp for s in attain):
@@ -361,20 +373,14 @@ def _transfer(model: Model, a: int, b: int, L: int, boundary: PostSeg | Wings,
     if L < 0 or (L + a - b) % 2 or abs(b - a) > L:  # no path joins a to b
         return {}
     first_up, last_up, wing = _ends(boundary, b)
-    states = _transfer_prefix(model.p, pp, a, L, first_up, attain, by_m)
-    moves = _vertex_moves(model.p, pp)
+    want = sum(1 << s for s in attain)
+    states = _transfer_prefix(model.p, pp, a, L, first_up, want, by_m)
     width = L // 8 + 1
-    bits = 8 * width
-    full = (1 << len(attain)) - 1
-    at_b = 1 << sorted(attain).index(b) if b in attain else 0
+    last = _step(_vertex_moves(model.p, pp), [s for s in states if s[0][0] == b], L, a,
+                 8 * width, want, by_m, wing)
     sums: dict[int, int] = {}
-    for (h, in_up, mask, m), packed in states:
-        if h == b and mask | at_b == full:
-            _, _, scoring = moves[b, in_up, wing][last_up]
-            if scoring:
-                packed <<= bits * ((L - b + a) // 2 if in_up else (L + b - a) // 2)
-            else:
-                m += by_m
+    for (_, up, mask, m), packed in last.items():
+        if up == last_up and mask == want:
             sums[m] = sums.get(m, 0) + packed
     return {m: unpack_poly(packed, width) for m, packed in sums.items()}
 
@@ -387,6 +393,24 @@ def chi(model: Model, a: int, b: int, c: int, L: int, attain=None) -> QPoly:
     if abs(c - b) != 1:
         raise ValueError(f"need c = b +- 1, got b={b}, c={c}")
     return _transfer(model, a, b, L, PostSeg(c), frozenset(attain or ())).get(0, QPoly.zero())
+
+
+def chi_block(model: Model, a: int, lmax: int) -> dict[tuple[int, int, int], QPoly]:
+    """chi(model, a, b, c, L) keyed (b, c, L) for every b, c = b +- 1 and
+    L <= lmax, from one transfer out of a: after vertex L, the state at
+    height c entered upwards (downwards) sums the paths a -> c - 1 (c + 1)
+    that step on to c.  Tuples that no path reaches are absent."""
+    if not 0 < a < model.pp:
+        raise ValueError("height a must lie in 1..p'-1")
+    moves = _vertex_moves(model.p, model.pp)
+    width = lmax // 8 + 1
+    states = {(a, True, 0, 0): 1}
+    table = {}
+    for L in range(lmax + 1):
+        states = _step(moves, states.items(), L, a, 8 * width, 0, False)
+        for (c, up, _, _), packed in states.items():
+            table[c - 1 if up else c + 1, c, L] = unpack_poly(packed, width)
+    return table
 
 
 @lru_cache(maxsize=4096)

@@ -187,18 +187,84 @@ def test_verify_identity_reports_a_mismatch(capsys, monkeypatch):
                                "bosonic": want + 1, "enumerate": want}
 
 
+def strip_summary(report: str) -> list[str]:
+    return [line for line in report.splitlines() if '"summary"' not in line]
+
+
 def test_verify_identity_deterministic_and_parallel(capsys):
-    _, out1, _ = run(capsys, "verify", "identity", "--ppmax", "4", "--Lmax", "6")
-    _, out2, _ = run(capsys, "verify", "identity", "--ppmax", "4", "--Lmax", "6")
-    strip = lambda s: [l for l in s.splitlines() if '"summary"' not in l]
-    assert strip(out1) == strip(out2)
-    _, out3, _ = run(capsys, "verify", "identity", "--ppmax", "4", "--Lmax", "6",
-                     "--jobs", "2")
-    assert strip(out1) == strip(out3)
-    # tasks are generated in report order and Pool.map keeps task order
+    grid = ("verify", "identity", "--ppmax", "5", "--Lmax", "9")
+    _, out1, _ = run(capsys, *grid)
+    _, out2, _ = run(capsys, *grid)
+    assert strip_summary(out1) == strip_summary(out2)
+    _, out3, _ = run(capsys, *grid, "--jobs", "2")
+    assert strip_summary(out1) == strip_summary(out3)
+    # tasks are generated in report order, and Pool.imap hands the (p, p', a)
+    # blocks back in the order they were sent
     keys = [tuple(json.loads(l)[k] for k in ("pp", "p", "a", "b", "c", "L"))
-            for l in strip(out1)]
+            for l in strip_summary(out1)]
     assert keys == sorted(keys) and len(set(keys)) == len(keys)
+
+
+def test_verify_identity_streams_its_report(monkeypatch):
+    # each (p, p', a) block is written as soon as it is verified, so the
+    # first record line goes out before the last record is computed
+    events = []
+    record = cli._identity_record
+    monkeypatch.setattr(cli, "_identity_record", lambda task: events.append("record") or record(task))
+
+    class Report(io.StringIO):
+        def write(self, text):
+            events.append("write")
+            return super().write(text)
+
+    with redirect_stdout(Report()):
+        assert main(["verify", "identity", "--ppmax", "5", "--Lmax", "9"]) == 0
+    last_record = len(events) - 1 - events[::-1].index("record")
+    assert events.index("write") < last_record
+
+
+def test_verify_identity_calls_a_wrapped_record_function(capsys, monkeypatch):
+    # perfbench/traced_cli.py swaps cli._identity_record for a one-argument
+    # wrapper: the sweep must call it once per record and report the same bytes
+    grid = ("verify", "identity", "--ppmax", "5", "--Lmax", "9")
+    _, plain, _ = run(capsys, *grid)
+    calls = []
+    record = cli._identity_record
+
+    def wrapped(task):
+        calls.append(task)
+        return record(task)
+
+    monkeypatch.setattr(cli, "_identity_record", wrapped)
+    _, traced, _ = run(capsys, *grid)
+    assert strip_summary(traced) == strip_summary(plain)
+    assert calls == list(cli.iter_identity_tasks(5, 9, cli.ALL_FORMS))
+
+
+def test_verify_identity_starts_no_idle_worker(capsys, monkeypatch):
+    # p' <= 3 has four (p, p', a) blocks: --jobs 8 starts four workers
+    started = []
+
+    class InlinePool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, blocks):
+            return map(fn, blocks)
+
+    grid = ("verify", "identity", "--ppmax", "3", "--Lmax", "4")
+    _, serial, _ = run(capsys, *grid)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
+    _, pooled, _ = run(capsys, *grid, "--jobs", "8")
+    assert started == [4]
+    assert strip_summary(pooled) == strip_summary(serial)
 
 
 @pytest.mark.parametrize("grid", [("--ppmax", "-3"), ("--ppmax", "2"), ("--Lmax", "-2")])

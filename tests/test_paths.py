@@ -3,7 +3,8 @@
 import json
 import pickle
 import re
-from itertools import product
+from itertools import groupby, product
+from operator import itemgetter
 from pathlib import Path as FsPath
 
 import pytest
@@ -368,6 +369,27 @@ def test_chi_computes_one_prefix_per_model_start_and_length():
         chi(Model(p, pp), a, b, c, L)
     shared = {(p, pp, a, L) for p, pp, a, _, _, L, _ in tasks}
     assert paths._transfer_prefix.cache_info().misses == len(shared) == 1300
+
+
+@pytest.mark.parametrize("lmax, models", [(12, coprime_pairs(8)), (17, [(3, 8)])])
+def test_chi_block_equals_chi_on_the_sweep_grid(lmax, models):
+    # one transfer out of a gives chi for every task of its identity-sweep
+    # block; at L <= 17 the table packs 3 bytes a coefficient where chi packs
+    # 1, 2 or 3, and its absent tuples are the zero polynomial
+    tasks = cli.iter_identity_tasks(8, lmax, ("enumerate", "bosonic"))
+    for (p, pp, a), block in groupby((t for t in tasks if t[:2] in models), itemgetter(0, 1, 2)):
+        model = Model(p, pp)
+        table = paths.chi_block(model, a, lmax)
+        keys = {(b, c, L) for _, _, _, b, c, L, _ in block}
+        assert set(table) <= keys
+        for b, c, L in keys:
+            assert table.get((b, c, L), QPoly.zero()) == chi(model, a, b, c, L), (p, pp, a, b, c, L)
+
+
+def test_chi_block_rejects_a_start_outside_the_grid():
+    for a in (0, 8):
+        with pytest.raises(ValueError, match="1..p'-1"):
+            paths.chi_block(Model(3, 8), a, 6)
 
 
 def test_unreachable_endpoints_compute_no_prefix():
