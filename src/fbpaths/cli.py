@@ -43,17 +43,13 @@ def _print_poly(poly: QPoly, fmt: str) -> None:
 ALL_FORMS = ("enumerate", "bosonic", "fermionic-classical", "fermionic-modified")
 
 
-# chi of each task of the (p, p', a) block that _identity_block verifies,
-# keyed by the task's first six entries: _identity_record keeps its one
-# argument, so a caller can wrap it (perfbench/traced_cli.py does)
-_block_chi: dict[tuple, QPoly] = {}
-
-
 def _identity_record(task) -> dict:
-    p, pp, a, b, c, L, forms = task
+    """The record of a sweep task extended by its chi, as one argument so
+    that a caller can wrap it (perfbench/traced_cli.py does)."""
+    p, pp, a, b, c, L, forms, enumerated = task
     values = {}
     if "enumerate" in forms:
-        values["enumerate"] = _block_chi[task[:6]]
+        values["enumerate"] = enumerated
     if "bosonic" in forms:
         values["bosonic"] = bosonic(p, pp, a, b, c, L)
     if "fermionic-classical" in forms:
@@ -79,12 +75,10 @@ def _identity_block(tasks: list[tuple]) -> tuple[str, int, int]:
     """(report lines, record count, failure count) of the tasks of one
     (p, p', a) block: one chi_block transfer gives chi for all of them."""
     p, pp, a = tasks[0][:3]
-    _block_chi.clear()
+    table = {}
     if "enumerate" in tasks[0][6]:
         table = chi_block(Model(p, pp), a, max(t[5] for t in tasks))
-        zero = QPoly.zero()
-        _block_chi.update((t[:6], table.get(t[3:6], zero)) for t in tasks)
-    records = [_identity_record(t) for t in tasks]
+    records = [_identity_record((*t, table.get(t[3:6], QPoly.zero()))) for t in tasks]
     return ("".join(json.dumps(rec) + "\n" for rec in records), len(records),
             sum(not rec["equal"] for rec in records))
 

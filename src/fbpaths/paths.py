@@ -279,12 +279,15 @@ def path_stats(path: Path) -> PathStats:
 
 # -- enumeration: the height sequences, one by one ---------------------------
 
+def _joins(a: int, b: int, L: int) -> bool:
+    """Some path of L steps joins a to b, ignoring the band's edges."""
+    return L >= 0 and (L + a - b) % 2 == 0 and abs(b - a) <= L
+
+
 def iter_height_seqs(model: Model, a: int, b: int, L: int):
     """Yield every height tuple h_0..h_L from a to b (depth-first, pruned)."""
     pp = model.pp
-    if not (1 <= a <= pp - 1 and 1 <= b <= pp - 1) or L < 0:
-        return
-    if (L + a - b) % 2 or abs(b - a) > L:
+    if not (0 < a < pp and 0 < b < pp and _joins(a, b, L)):
         return
     cur = [a] * (L + 1)
 
@@ -342,8 +345,8 @@ def _step(moves, states, i: int, a: int, bits: int, attain: int, by_m: bool,
 def _transfer_prefix(p: int, pp: int, a: int, L: int, first_up: bool,
                      attain: int, by_m: bool) -> tuple[tuple[tuple, int], ...]:
     """The states (see _step) after the vertices 0..L-1 from a, each with its
-    packed polynomial, as (state, packed) pairs: everything but the final
-    vertex, which alone reads the endpoint b and the boundary's c or f.
+    packed polynomial at L // 8 + 1 bytes a coefficient (no count exceeds the
+    2^L paths), as (state, packed) pairs: every endpoint shares them.
     """
     moves = _vertex_moves(p, pp)
     bits = 8 * (L // 8 + 1)
@@ -353,46 +356,27 @@ def _transfer_prefix(p: int, pp: int, a: int, L: int, first_up: bool,
     return tuple(states.items())
 
 
-def _transfer(model: Model, a: int, b: int, L: int, boundary: PostSeg | Wings,
-              attain: frozenset[int], by_m: bool = False) -> dict[int, QPoly]:
-    """Generating functions of the paths a -> b attaining all of `attain`,
-    keyed by the non-scoring count m (all under 0 unless by_m).
-
-    A recurrence over the vertices i = 0..L on the states (h_i, direction
-    into vertex i, mask of the `attain` heights met before, m so far),
-    each packing its polynomial into one int, coefficient j at byte offset
-    j * width: no count exceeds the 2^L paths, so L + 1 bits never carry.
-    Vertices 0..L-1 see neither b, c nor f, so every endpoint shares one
-    cached _transfer_prefix; here its states at h_L = b take vertex L, and
-    those that step out to b + 1 or b - 1 as the boundary says are summed.
-    Callers check a and b.
-    """
-    pp = model.pp
+def _attain_mask(pp: int, attain) -> int:
+    """The mask (see _step) of the heights of `attain`, which must lie in 1..p'-1."""
+    attain = frozenset(attain or ())
     if not all(0 < s < pp for s in attain):
         raise ValueError(f"attained heights {sorted(attain)} must lie in 1..p'-1")
-    if L < 0 or (L + a - b) % 2 or abs(b - a) > L:  # no path joins a to b
-        return {}
-    first_up, last_up, wing = _ends(boundary, b)
-    want = sum(1 << s for s in attain)
-    states = _transfer_prefix(model.p, pp, a, L, first_up, want, by_m)
-    width = L // 8 + 1
-    last = _step(_vertex_moves(model.p, pp), [s for s in states if s[0][0] == b], L, a,
-                 8 * width, want, by_m, wing)
-    sums: dict[int, int] = {}
-    for (_, up, mask, m), packed in last.items():
-        if up == last_up and mask == want:
-            sums[m] = sums.get(m, 0) + packed
-    return {m: unpack_poly(packed, width) for m, packed in sums.items()}
+    return sum(1 << s for s in attain)
 
 
 def chi(model: Model, a: int, b: int, c: int, L: int, attain=None) -> QPoly:
-    """Sum of q^wt(h) over post-segment paths a -> b with endpoint c, or
-    over those attaining every height of `attain`."""
+    """Sum of q^wt(h) over post-segment paths a -> b with endpoint c attaining
+    every height of `attain`: as in chi_block, the state at c after vertex L."""
     if not all(0 < h < model.pp for h in (a, b, c)):
         raise ValueError("heights a, b, c must lie in 1..p'-1")
     if abs(c - b) != 1:
         raise ValueError(f"need c = b +- 1, got b={b}, c={c}")
-    return _transfer(model, a, b, L, PostSeg(c), frozenset(attain or ())).get(0, QPoly.zero())
+    want = _attain_mask(model.pp, attain)
+    if not _joins(a, b, L):
+        return QPoly.zero()
+    states = _transfer_prefix(model.p, model.pp, a, L + 1, True, want, False)
+    return unpack_poly(sum(packed for (h, up, mask, _), packed in states
+                           if h == c and up == (c > b) and mask == want), (L + 1) // 8 + 1)
 
 
 def chi_block(model: Model, a: int, lmax: int) -> dict[tuple[int, int, int], QPoly]:
@@ -413,20 +397,27 @@ def chi_block(model: Model, a: int, lmax: int) -> dict[tuple[int, int, int], QPo
     return table
 
 
-@lru_cache(maxsize=4096)
-def _chi_tilde_by_m(p: int, pp: int, a: int, b: int, e: int, f: int, L: int,
-                    attain: frozenset[int]) -> dict[int, QPoly]:
-    return _transfer(Model(p, pp), a, b, L, Wings(e, f), attain, by_m=True)
-
-
 def chi_tilde_by_m(model: Model, a: int, b: int, e: int, f: int, L: int,
                    attain=None) -> dict[int, QPoly]:
     """Winged generating functions split by the non-scoring count m, as a
-    fresh dict.  Wings outside {0, 1} and attained heights off the grid raise
+    fresh dict: the prefix's states at b take the wing vertex L and leave it
+    as f says.  Wings outside {0, 1} and attained heights off the grid raise
     ValueError."""
     if not (0 < a < model.pp and 0 < b < model.pp):
         raise ValueError("heights a, b must lie in 1..p'-1")
-    return dict(_chi_tilde_by_m(model.p, model.pp, a, b, e, f, L, frozenset(attain or ())))
+    first_up, last_up, wing = _ends(Wings(e, f), b)
+    want = _attain_mask(model.pp, attain)
+    if not _joins(a, b, L):
+        return {}
+    states = _transfer_prefix(model.p, model.pp, a, L, first_up, want, True)
+    width = L // 8 + 1
+    last = _step(_vertex_moves(model.p, model.pp), [s for s in states if s[0][0] == b], L, a,
+                 8 * width, want, True, wing)
+    sums: dict[int, int] = {}
+    for (_, up, mask, m), packed in last.items():
+        if up == last_up and mask == want:
+            sums[m] = sums.get(m, 0) + packed
+    return {m: unpack_poly(packed, width) for m, packed in sums.items()}
 
 
 def chi_tilde(model: Model, a: int, b: int, e: int, f: int, L: int,

@@ -469,9 +469,11 @@ def test_bosonic_equals_both_fermionic_forms(data):
 
 
 def test_three_routes_agree_at_large_L():
-    # (3,8) at L = 81: out of reach of the sparse division kernel
+    # (3,8) at L = 81: out of reach of the sparse division kernel; the
+    # transfer packs chi at 11 bytes a coefficient
     p, pp, a, b, L = 3, 8, 1, 2, 81
     bos = bosonic(p, pp, a, b, c_from_b(p, pp, b), L)
+    assert chi(Model(p, pp), a, b, c_from_b(p, pp, b), L) == bos
     assert fermionic_classical(p, pp, a, b, L) == bos
     assert fermionic_modified(p, pp, a, b, L) == bos
     assert all(c > 0 for c in bos.terms.values())

@@ -238,7 +238,10 @@ def test_verify_identity_calls_a_wrapped_record_function(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_identity_record", wrapped)
     _, traced, _ = run(capsys, *grid)
     assert strip_summary(traced) == strip_summary(plain)
-    assert calls == list(cli.iter_identity_tasks(5, 9, cli.ALL_FORMS))
+    # each task reaches it extended by its chi
+    assert [c[:7] for c in calls] == list(cli.iter_identity_tasks(5, 9, cli.ALL_FORMS))
+    for p, pp, a, b, c, L, _, enumerated in calls:
+        assert enumerated == chi(Model(p, pp), a, b, c, L)
 
 
 def test_verify_identity_starts_no_idle_worker(capsys, monkeypatch):

@@ -361,8 +361,8 @@ def test_transfer_equals_enumeration_property(data):
 
 
 def test_chi_computes_one_prefix_per_model_start_and_length():
-    # the transfer prefix does not depend on b or c: on the identity-sweep
-    # grid, records sharing (p, p', a, L) compute it once
+    # the transfer prefix does not depend on b or c: over the tasks of the
+    # identity-sweep grid, the calls sharing (p, p', a, L) compute it once
     tasks = list(cli.iter_identity_tasks(8, 12, ("enumerate", "bosonic")))
     paths._transfer_prefix.cache_clear()
     for p, pp, a, b, c, L, _ in tasks:
@@ -397,7 +397,6 @@ def test_unreachable_endpoints_compute_no_prefix():
     # generating function builds (or caches) a transfer prefix for it
     m = Model(3, 8)
     paths._transfer_prefix.cache_clear()
-    paths._chi_tilde_by_m.cache_clear()
     for a, b, L in [(2, 3, 4), (2, 2, 5), (1, 6, 3), (7, 1, 4), (4, 2, 0)]:
         for c in (b - 1, b + 1):
             if 1 <= c <= 7:

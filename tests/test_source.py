@@ -1,7 +1,8 @@
 """Source checks: library invariants raise explicit errors, so they still
-hold under python -O, every cache is bounded, every name the benchmark's
-tracer patches exists, every library name has a caller, and importing the
-CLI loads every cached module but none of the heavy standard modules."""
+hold under python -O, every cache is bounded, no module keeps mutable state
+in a global, every name the benchmark's tracer patches exists, every library
+name has a caller, and importing the CLI loads every cached module but none
+of the heavy standard modules."""
 
 import ast
 import importlib
@@ -41,6 +42,36 @@ def test_library_caches_are_bounded():
                     any(alias.name == "cache" for alias in node.names) or \
                     isinstance(node, ast.Attribute) and node.attr == "cache" and \
                     getattr(node.value, "id", None) == "functools":
+                found.append(f"{src.name}:{node.lineno}")
+    assert found == []
+
+
+MUTABLE_LITERALS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+MUTABLE_TYPES = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter"}
+
+
+def _module_level(tree):
+    """The nodes of a module outside its function and class bodies."""
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def test_library_keeps_no_module_state():
+    # a dict, list or set bound at module level is state that outlives a
+    # call and that a pool worker carries from one task to the next; caches
+    # live in bounded lru_cache objects instead
+    found = []
+    for src in SOURCES:
+        for node in _module_level(ast.parse(src.read_text(), filename=str(src))):
+            if not isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                continue
+            func = getattr(node.value, "func", None)  # None unless a call
+            if isinstance(node.value, MUTABLE_LITERALS) or \
+                    getattr(func, "id", getattr(func, "attr", None)) in MUTABLE_TYPES:
                 found.append(f"{src.name}:{node.lineno}")
     assert found == []
 
