@@ -5,20 +5,28 @@ recurrence over the vertices (module paths), the alternating-sign double
 sum with Gaussian factors, and two constant-sign quadratic-exponent sums
 driven by the Takahashi data (one with classical Gaussians plus a
 smaller-model tail, one with modified Gaussians and no tail): one walk and
-one packed kernel, _gaussian_sum, give both, cached as a bounded pair.  The
+one packed kernel, _packed_sum, give both, cached as a bounded pair.  The
 classical form and the mn-system keep the walk's summands with all n_j >= 0;
 only the forms compute a summand's exponent and Gaussians (_term).
+
+Each sum is a list of terms (_bosonic_terms, _tail_terms, _split_terms)
+read by two consumers: the public forms build a QPoly, and the identity
+sweep packs every form at one width (_packed_bosonic, _packed_fermionic),
+the bosonic sums as separate positive and negative parts, so that int
+equality decides polynomial equality (qpoly.guard_width).  Each form's
+bound on its coefficients comes from its own terms (_sum_bound, 2^L for a
+bosonic part), never from another route.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property, lru_cache
-from itertools import chain
+from itertools import chain, starmap
 from math import comb, prod
 
 from .model import Model, TakahashiData, continued_fraction
-from .qpoly import QPoly, gaussian, pack, unpack_poly
+from .qpoly import QPoly, gaussian, guard_width, pack, unpack_poly
 
 
 # -- alternating-sign (bosonic) form ------------------------------------------
@@ -28,15 +36,26 @@ def groundstate_label(p: int, pp: int, b: int, c: int) -> int:
     return p * c // pp + (b - c + 1) // 2
 
 
-def bosonic(p: int, pp: int, a: int, b: int, c: int, L: int) -> QPoly:
-    """Alternating double sum with Gaussian factors; equals the enumeration."""
-    model = Model(p, pp)
+def _bosonic_terms(p: int, pp: int, a: int, b: int, c: int, L: int):
+    """(exponent, k, sign) of each term sign * q^exponent [L over k] of the
+    alternating double sum, the positive sum first; none when no path
+    joins a to b.
+
+    Every exponent is >= 0.  With c in 1..p'-1 and b - c = +-1, r lies in
+    0..p.  The positive exponent is lam (lam p p' + p' r - p a): at lam >= 1
+    the second factor is >= p p' - p (p' - 1) = p > 0, and at lam <= -1 it
+    is <= -p p' + p p' - p = -p < 0.  The negative exponent is
+    (lam p + r)(lam p' + a): at lam >= 0 both factors are >= 0, and at
+    lam <= -1 both are <= 0, as lam p + r <= 0 and lam p' + a <= -1.  A
+    packed sum shifts by the exponent, so RuntimeError guards this.
+    """
+    Model(p, pp)  # checks the model
     if not (1 <= a <= pp - 1 and 1 <= b <= pp - 1 and 1 <= c <= pp - 1):
         raise ValueError("heights a, b, c must lie in 1..p'-1")
     if abs(b - c) != 1:
         raise ValueError("need c = b +- 1")
     if L < 0 or (L + a - b) % 2:
-        return QPoly.zero()
+        return
     r = groundstate_label(p, pp, b, c)
     base = (L + a - b) // 2
     # positive sum: Gaussian lower index base - p'*lam must lie in 0..L;
@@ -45,11 +64,37 @@ def bosonic(p: int, pp: int, a: int, b: int, c: int, L: int) -> QPoly:
                 for lam in range(-((L - base) // pp), base // pp + 1))
     negative = (((lam * p + r) * (lam * pp + a), base - pp * lam - a, -1)
                 for lam in range(-((L - base + a) // pp), (base - a) // pp + 1))
-    terms: dict[int, int] = {}
-    for ex, k, sign in chain(positive, negative):
+    for term in chain(positive, negative):
+        if term[0] < 0:
+            raise RuntimeError(f"bosonic term {term} of ({p},{pp}) has a negative exponent")
+        yield term
+
+
+def _bosonic_sum(terms, L: int) -> QPoly:
+    """The sum over (exponent, k, sign) of sign * q^exponent [L over k]."""
+    out: dict[int, int] = {}
+    for ex, k, sign in terms:
         for e, coeff in gaussian(L, k).terms.items():
-            terms[e + ex] = terms.get(e + ex, 0) + sign * coeff
-    return QPoly(terms)
+            out[e + ex] = out.get(e + ex, 0) + sign * coeff
+    return QPoly(out)
+
+
+def _packed_bosonic(terms, L: int, width: int) -> tuple[int, int]:
+    """(positive, negative) parts of the sum over (exponent, k, sign) of
+    sign * q^exponent [L over k], each packed at `width` bytes from q^0.
+    On the terms of _bosonic_terms or _tail_terms each part takes the row
+    [L over k] at most once per k, so each of its coefficients is at most
+    sum_k C(L, k) = 2^L."""
+    parts = [0, 0]
+    bits = 8 * width
+    for ex, k, sign in terms:
+        parts[sign < 0] += _packed_gaussian(L, k, width) << bits * ex
+    return parts[0], parts[1]
+
+
+def bosonic(p: int, pp: int, a: int, b: int, c: int, L: int) -> QPoly:
+    """Alternating double sum with Gaussian factors; equals the enumeration."""
+    return _bosonic_sum(_bosonic_terms(p, pp, a, b, c, L), L)
 
 
 def partition_series(N: int) -> QPoly:
@@ -314,25 +359,27 @@ def mn_solutions(system: FermionicSystem, L: int) -> list[MnSolution]:
     return [MnSolution(m_hat, n) for m_hat, n, kept in _summands(system, L) if kept]
 
 
-def _sub_character(zn: int, yn: int, a: int, b: int, c_outer: int, L: int) -> QPoly:
-    """The smaller-model tail, with the post-segment endpoint pulled inside."""
+def _tail_terms(system: FermionicSystem, L: int):
+    """The (exponent, k, sign) terms, read as in _bosonic_terms, of the
+    smaller-model tail that the classical form adds to its sum: the
+    character of the model (z_n, y_n), reflected when a and b lie at the
+    top, with the post-segment endpoint pulled inside."""
+    tak, a, b = system.tak, system.a, system.b
+    yn, zn = tak.y_of(tak.n), tak.z_of(tak.n)
+    c = c_from_b(tak.p, tak.pp, b)
+    if not (a < yn and b < yn):
+        if not (a > tak.pp - yn and b > tak.pp - yn):
+            return ()
+        a, b, c = tak.pp - a, tak.pp - b, tak.pp - c
     if yn == 2:
-        # the (1,2) grid carries only the empty path
-        return QPoly.one() if (L == 0 and a == 1 and b == 1) else QPoly.zero()
-    c = c_outer if 1 <= c_outer <= yn - 1 else b - 1
-    return bosonic(zn, yn, a, b, c, L)
+        # the (1,2) grid carries only the empty path, q^0 [0 over 0]
+        return ((0, 0, 1),) if (L == 0 and a == 1 and b == 1) else ()
+    return _bosonic_terms(zn, yn, a, b, c if 1 <= c <= yn - 1 else b - 1, L)
 
 
 def _classical_tail(system: FermionicSystem, L: int) -> QPoly:
     """The smaller-model term that the classical form adds to its sum."""
-    tak, a, b = system.tak, system.a, system.b
-    yn, zn = tak.y_of(tak.n), tak.z_of(tak.n)
-    c = c_from_b(tak.p, tak.pp, b)
-    if a < yn and b < yn:
-        return _sub_character(zn, yn, a, b, c, L)
-    if a > tak.pp - yn and b > tak.pp - yn:
-        return _sub_character(zn, yn, tak.pp - a, tak.pp - b, tak.pp - c, L)
-    return QPoly.zero()
+    return _bosonic_sum(_tail_terms(system, L), L)
 
 
 @lru_cache(maxsize=4096)
@@ -341,32 +388,75 @@ def _packed_gaussian(top: int, k: int, width: int) -> int:
     return pack(gaussian(top, k).terms.values(), width)
 
 
+def _sum_bound(terms) -> int:
+    """The value at q = 1 of the sum over (e, keys) of q^e times the classical
+    Gaussians [top over k] for (top, k) in keys.  Every factor has
+    non-negative coefficients, so it bounds each coefficient of every
+    partial product and of the sum."""
+    return sum(prod(starmap(comb, keys)) for _, keys in terms)
+
+
+def _packed_sum(terms, width: int, low: int) -> int:
+    """The sum over (e, keys) of q^(e - low) times the classical Gaussians
+    [top over k] for (top, k) in keys, packed at `width` bytes a coefficient:
+    every e must be >= low, and `width` must exceed the _sum_bound."""
+    acc = 0
+    bits = 8 * width
+    for e, keys in terms:
+        term = 1
+        for top, k in keys:
+            term *= _packed_gaussian(top, k, width)
+        acc += term << bits * (e - low)
+    return acc
+
+
 def _gaussian_sum(terms) -> QPoly:
     """The sum over (e, keys) of q^e times the classical Gaussians [top over k]
     for (top, k) in keys, added on one packed int and unpacked once."""
     if not terms:
         return QPoly.zero()
-    # every factor has non-negative coefficients, so the sum's value at
-    # q = 1 bounds each coefficient of every partial product and of the sum
-    bound = sum(prod(comb(*key) for key in keys) for _, keys in terms)
-    width = (bound.bit_length() + 7) // 8
+    width = guard_width(_sum_bound(terms))
     low = min(e for e, _ in terms)
-    acc = 0
-    for e, keys in terms:
-        term = 1
-        for top, k in keys:
-            term *= _packed_gaussian(top, k, width)
-        acc += term << 8 * width * (e - low)
-    return unpack_poly(acc, width, low)
+    return unpack_poly(_packed_sum(terms, width, low), width, low)
+
+
+def _split_terms(system: FermionicSystem, L: int) -> tuple[list, list]:
+    """The (exponent, keys) of each modified summand (see _term), in two
+    lists: the kept summands, then the annihilated ones."""
+    split = ([], [])
+    for m_hat, n, kept in _summands(system, L):
+        split[not kept].append(_term(system, m_hat, n))
+    return split
 
 
 @lru_cache(maxsize=64)
 def _fermionic_sums(p: int, pp: int, a: int, b: int, L: int, prefer_t_prime: bool):
     """(classical sum without its tail, modified sum): kept plus annihilated."""
-    system = build_system(p, pp, a, b, prefer_t_prime)
-    terms = [(k, _term(system, m_hat, n)) for m_hat, n, k in _summands(system, L)]
-    kept = _gaussian_sum([term for k, term in terms if k])
-    return kept, kept + _gaussian_sum([term for k, term in terms if not k])
+    kept, annihilated = map(_gaussian_sum, _split_terms(build_system(p, pp, a, b, prefer_t_prime), L))
+    return kept, kept + annihilated
+
+
+def _fermionic_walk(system: FermionicSystem, L: int):
+    """(split, low, classical bound, modified bound) of the summands at
+    length L >= 0, from one walk: split as _split_terms gives it,
+    low = min(0, lowest summand exponent), and each bound one on the
+    absolute value of every coefficient of its form, read off the form's
+    own summands (the tail adds 2^L, as bosonic does), never off the value
+    the identity says it has."""
+    split = _split_terms(system, L)
+    kept, annihilated = map(_sum_bound, split)
+    low = min([0] + [e for terms in split for e, _ in terms])
+    return split, low, kept + (1 << L), kept + annihilated
+
+
+def _packed_fermionic(system: FermionicSystem, L: int, split, width: int, low: int):
+    """(classical, modified), each as the (positive, negative) parts of the
+    form times q^-low, packed at `width` bytes a coefficient; split, low and
+    a width above the bounds come from _fermionic_walk."""
+    kept, annihilated = (_packed_sum(terms, width, low) for terms in split)
+    pos, neg = _packed_bosonic(_tail_terms(system, L), L, width)
+    shift = -8 * width * low
+    return (kept + (pos << shift), neg << shift), (kept + annihilated, 0)
 
 
 def fermionic_classical(p: int, pp: int, a: int, b: int, L: int,

@@ -22,13 +22,14 @@ from .paths import (
     Path, chi, chi_block, chi_tilde_restricted, path_from_json,
     path_to_json, striking_sequence, weight_wt, weight_wtilde,
 )
-from .qpoly import QPoly
+from .qpoly import QPoly, guard_width, unpack_poly
 from .transforms import (
     _first_mismatch, b1, b2, b3, bd_transform, d_transform, decompose,
 )
 from .characters import (
-    bosonic, build_system, c_from_b, c_from_b_info, fermionic_classical,
-    fermionic_modified, mn_solutions,
+    _bosonic_terms, _fermionic_walk, _packed_bosonic, _packed_fermionic, bosonic,
+    build_system, c_from_b, c_from_b_info, fermionic_classical, fermionic_modified,
+    mn_solutions,
 )
 
 def _print_poly(poly: QPoly, fmt: str) -> None:
@@ -44,26 +45,27 @@ ALL_FORMS = ("enumerate", "bosonic", "fermionic-classical", "fermionic-modified"
 
 
 def _identity_record(task) -> dict:
-    """The record of a sweep task extended by its chi, as one argument so
-    that a caller can wrap it (perfbench/traced_cli.py does)."""
-    p, pp, a, b, c, L, forms, enumerated = task
-    values = {}
-    if "enumerate" in forms:
-        values["enumerate"] = enumerated
-    if "bosonic" in forms:
-        values["bosonic"] = bosonic(p, pp, a, b, c, L)
-    if "fermionic-classical" in forms:
-        values["fermionic-classical"] = fermionic_classical(p, pp, a, b, L)
-    if "fermionic-modified" in forms:
-        values["fermionic-modified"] = fermionic_modified(p, pp, a, b, L)
-    names = sorted(values)
+    """The record of a sweep task extended by its width, its base exponent
+    and the packed value of each of its forms, as one argument so that a
+    caller can wrap it (perfbench/traced_cli.py does).
+
+    A value is the (positive, negative) pair of packings of the form times
+    q^-low, at one width that keeps a guard bit above every form's bound
+    (qpoly.guard_width), so pos - neg of two forms are equal exactly when
+    the polynomials are.  Only a mismatch is unpacked, to name its first
+    differing coefficient.
+    """
+    p, pp, a, b, c, L, forms, width, low, values = task
+    names = sorted(forms)
     ref_name = names[0]
     ref = values[ref_name]
     mismatch = None
     for name in names[1:]:
-        found = _first_mismatch(ref, values[name])
-        if found is not None:
-            bad, c_ref, c_other = found
+        other = values[name]
+        if ref[0] - ref[1] != other[0] - other[1]:
+            bad, c_ref, c_other = _first_mismatch(*(
+                unpack_poly(pos, width, low) - unpack_poly(neg, width, low)
+                for pos, neg in (ref, other)))
             mismatch = {"forms": [ref_name, name], "exponent": bad,
                         ref_name: c_ref, name: c_other}
             break
@@ -73,12 +75,40 @@ def _identity_record(task) -> dict:
 
 def _identity_block(tasks: list[tuple]) -> tuple[str, int, int]:
     """(report lines, record count, failure count) of the tasks of one
-    (p, p', a) block: one chi_block transfer gives chi for all of them."""
+    (p, p', a) block, every value of the block packed at one width.
+
+    The fermionic summands of each (b, L) are walked once, first, for their
+    bounds; the transfer and each of bosonic's two sums are bounded by the
+    2^Lmax paths.  The width is the guard_width of the largest bound, and
+    one chi_block transfer at that width gives chi for every task.  A task
+    whose fermionic summands reach below q^0 (low < 0) packs all its forms
+    from q^low.
+    """
     p, pp, a = tasks[0][:3]
-    table = {}
-    if "enumerate" in tasks[0][6]:
-        table = chi_block(Model(p, pp), a, max(t[5] for t in tasks))
-    records = [_identity_record((*t, table.get(t[3:6], QPoly.zero()))) for t in tasks]
+    lmax = max(t[5] for t in tasks)
+    walks, bounds = {}, [1 << lmax]
+    for _, _, _, b, _, L, forms in tasks:
+        if forms[-1].startswith("fermionic"):  # the fermionic forms come last
+            system = build_system(p, pp, a, b)
+            split, low, *form_bounds = _fermionic_walk(system, L)
+            walks[b, L] = system, split, low
+            bounds += form_bounds
+    width = guard_width(max(bounds))
+    table = chi_block(Model(p, pp), a, lmax, width) if "enumerate" in tasks[0][6] else {}
+    records = []
+    for p, pp, a, b, c, L, forms in tasks:
+        low, packed = 0, {}
+        if forms[-1].startswith("fermionic"):
+            system, split, low = walks[b, L]
+            packed = dict(zip(ALL_FORMS[2:], _packed_fermionic(system, L, split, width, low)))
+        shift = -8 * width * low
+        if "enumerate" in forms:
+            packed["enumerate"] = (table.get((b, c, L), 0) << shift, 0)
+        if "bosonic" in forms:
+            packed["bosonic"] = tuple(part << shift for part in _packed_bosonic(
+                _bosonic_terms(p, pp, a, b, c, L), L, width))
+        values = {name: packed[name] for name in forms}
+        records.append(_identity_record((p, pp, a, b, c, L, forms, width, low, values)))
     return ("".join(json.dumps(rec) + "\n" for rec in records), len(records),
             sum(not rec["equal"] for rec in records))
 

@@ -379,21 +379,25 @@ def chi(model: Model, a: int, b: int, c: int, L: int, attain=None) -> QPoly:
                            if h == c and up == (c > b) and mask == want), (L + 1) // 8 + 1)
 
 
-def chi_block(model: Model, a: int, lmax: int) -> dict[tuple[int, int, int], QPoly]:
+def chi_block(model: Model, a: int, lmax: int, width: int) -> dict[tuple[int, int, int], int]:
     """chi(model, a, b, c, L) keyed (b, c, L) for every b, c = b +- 1 and
-    L <= lmax, from one transfer out of a: after vertex L, the state at
-    height c entered upwards (downwards) sums the paths a -> c - 1 (c + 1)
-    that step on to c.  Tuples that no path reaches are absent."""
+    L <= lmax, from one transfer out of a, each packed at `width` bytes a
+    coefficient from q^0 (unpack_poly decodes it): after vertex L, the state
+    at height c entered upwards (downwards) sums the paths a -> c - 1
+    (c + 1) that step on to c.  No coefficient exceeds the 2^lmax paths, so
+    `width` must give more than lmax bits.  Tuples that no path reaches are
+    absent."""
     if not 0 < a < model.pp:
         raise ValueError("height a must lie in 1..p'-1")
+    if 8 * width <= lmax:
+        raise ValueError(f"{width} bytes a coefficient cannot hold the paths of length {lmax}")
     moves = _vertex_moves(model.p, model.pp)
-    width = lmax // 8 + 1
     states = {(a, True, 0, 0): 1}
     table = {}
     for L in range(lmax + 1):
         states = _step(moves, states.items(), L, a, 8 * width, 0, False)
         for (c, up, _, _), packed in states.items():
-            table[c - 1 if up else c + 1, c, L] = unpack_poly(packed, width)
+            table[c - 1 if up else c + 1, c, L] = packed
     return table
 
 

@@ -257,6 +257,20 @@ def pack(coeffs, width: int) -> int:
     return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in coeffs), "little")
 
 
+def guard_width(bound: int) -> int:
+    """The fewest bytes a coefficient that keep a guard bit above `bound`:
+    bound < X/2 for X = 2^(8 width).
+
+    A packing is the polynomial's value at q = X.  If every coefficient of
+    two polynomials has |c| <= bound, each digit of the difference of their
+    packings lies in (-X, X), and a sum of such digits times powers of X is
+    0 only when every digit is (the lowest nonzero one would be divisible by
+    X).  So at this width two packings, signed ones too, are equal exactly
+    when the polynomials are.
+    """
+    return bound.bit_length() // 8 + 1
+
+
 def unpack_poly(packed: int, width: int, low: int = 0) -> QPoly:
     """The polynomial whose coefficients, from q^low up, are packed width
     bytes each into a non-negative int: the inverse of pack, zeros dropped."""

@@ -12,7 +12,12 @@ from fbpaths import (
     fermionic_terms, flat_sharp, groundstate_label, mn_solutions,
     gaussian, gaussian_modified, partition_series, rocha_caridi_truncated,
 )
-from fbpaths.characters import _classical_tail, _iter_admissible_m, _summands, _term
+import fbpaths.characters as characters
+from fbpaths.characters import (
+    _bosonic_terms, _classical_tail, _fermionic_walk, _iter_admissible_m, _packed_bosonic,
+    _packed_fermionic, _summands, _term,
+)
+from fbpaths.qpoly import guard_width, unpack_poly
 from helpers import (
     beta_prime, coprime_pairs, dense_exponents, dense_parity, dense_rows,
     leaf_filtered_walk, recursive_walk, step_count, unpruned_walk_size, walk_outcome,
@@ -56,6 +61,53 @@ def test_bosonic_reflection_law():
                     dual = bosonic(pp - p, pp, a, b, c, L)
                     rhs = dual.invert_q().shift((L * L - (b - a) ** 2) // 4)
                     assert lhs == rhs
+
+
+def test_bosonic_exponents_are_non_negative():
+    # every term of every p' <= 16 model: as L grows by 2 the lambda range
+    # of each sum grows at both ends, and no exponent depends on L, so the
+    # terms at L = 6p' + parity are those of every smaller L of that parity
+    count = 0
+    for p, pp in coprime_pairs(16):
+        for a, b in product(range(1, pp), repeat=2):
+            for c in (b - 1, b + 1):
+                if 1 <= c <= pp - 1:
+                    exps = [e for e, _, _ in _bosonic_terms(p, pp, a, b, c, 6 * pp + (a + b) % 2)]
+                    assert exps and min(exps) >= 0, (p, pp, a, b, c)
+                    count += len(exps)
+    assert count > 100_000
+
+
+def test_a_negative_bosonic_exponent_raises(monkeypatch):
+    # r = p + 1 lies outside 0..p, and the positive sum's lam = -1 term then
+    # has exponent p - p' < 0: a packed sum cannot shift by it
+    monkeypatch.setattr(characters, "groundstate_label", lambda p, pp, b, c: p + 1)
+    with pytest.raises(RuntimeError, match="negative exponent"):
+        bosonic(3, 8, 1, 2, 3, 21)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_packed_forms_decode_to_the_forms_within_their_bounds(data):
+    # the identity sweep's packed values, taken apart, are the public forms,
+    # and every coefficient keeps below the bound that sizes their width
+    p, pp = data.draw(st.sampled_from(coprime_pairs(20)), label="(p, pp)")
+    members = takahashi_members(p, pp)
+    a = data.draw(st.sampled_from(members), label="a")
+    b = data.draw(st.sampled_from(members), label="b")
+    L = data.draw(st.integers(0, 10).map(lambda k: 2 * k + (a + b) % 2), label="L")
+    c = c_from_b(p, pp, b)
+    system = build_system(p, pp, a, b)
+    split, low, *bounds = _fermionic_walk(system, L)
+    width = guard_width(max(bounds + [1 << L]))
+    pos, neg = _packed_bosonic(_bosonic_terms(p, pp, a, b, c, L), L, width)
+    packed = [(pos, neg)] + list(_packed_fermionic(system, L, split, width, low))
+    forms = [bosonic(p, pp, a, b, c, L), fermionic_classical(p, pp, a, b, L),
+             fermionic_modified(p, pp, a, b, L)]
+    for (pos, neg), form, bound in zip(packed, forms, [1 << L] + bounds):
+        assert (unpack_poly(pos, width, low) - unpack_poly(neg, width, low)) == form
+        assert max(map(abs, form.terms.values()), default=0) <= bound
+    assert len({pos - neg for pos, neg in packed}) == 1
 
 
 def test_groundstate_label():

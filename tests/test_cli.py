@@ -1,22 +1,27 @@
 """CLI contract: subcommands, JSON I/O, exit codes, determinism."""
 
+import hashlib
 import io
 import json
 import multiprocessing
 import os
+import re
 from contextlib import redirect_stderr, redirect_stdout
-from itertools import accumulate
+from itertools import accumulate, chain
 from pathlib import Path as FsPath
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fbpaths.characters as characters
 import fbpaths.cli as cli
-from fbpaths import Model, QPoly, chi
+from fbpaths import Model, chi
+from fbpaths.qpoly import unpack_poly
 from fbpaths.cli import main
 from helpers import coprime_pairs, step_count
 
 FIXTURES = FsPath(__file__).parent / "fixtures"
+ROOT = FsPath(__file__).parents[1]
 
 
 def run(capsys, *argv):
@@ -169,13 +174,26 @@ def test_verify_identity_exit_zero(capsys):
     assert summary["failures"] == 0 and summary["records"] > 0
 
 
+def _wrong_terms(monkeypatch, module, name, bad, extra):
+    """Make module.name, a generator of (exponent, k, sign) terms, yield the
+    extra terms too for the arguments `bad`."""
+    terms = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: chain(
+        terms(*args), extra if args == bad else ()))
+
+
+def _mismatches(out: str) -> tuple[dict, list[dict]]:
+    lines = [json.loads(line) for line in out.strip().splitlines()]
+    return lines[-1]["summary"], [r for r in lines[:-1] if not r["equal"]]
+
+
 def test_verify_identity_reports_a_mismatch(capsys, monkeypatch):
-    # a bosonic form wrong by q^k on one tuple must fail the sweep and be named
+    # a bosonic form wrong by q^k on one tuple must fail the sweep and be
+    # named; the error goes in as one more term q^k [L over 0] of the
+    # bosonic sum, which the sweep packs
     bad, k = (1, 4, 1, 1, 2, 2), 1
     want = chi(Model(1, 4), 1, 1, 2, 2).coeff(k)
-    bosonic = cli.bosonic
-    monkeypatch.setattr(cli, "bosonic", lambda *args: bosonic(*args) + (
-        QPoly.q_int(k) if args == bad else QPoly.zero()))
+    _wrong_terms(monkeypatch, cli, "_bosonic_terms", bad, [(k, 0, 1)])
     code, out, _ = run(capsys, "verify", "identity", "--ppmax", "4", "--Lmax", "4")
     assert code == 1
     lines = [json.loads(line) for line in out.strip().splitlines()]
@@ -185,6 +203,104 @@ def test_verify_identity_reports_a_mismatch(capsys, monkeypatch):
     assert not rec["equal"]
     assert rec["mismatch"] == {"forms": ["bosonic", "enumerate"], "exponent": k,
                                "bosonic": want + 1, "enumerate": want}
+
+
+def test_verify_identity_reports_a_negative_bosonic_coefficient(capsys, monkeypatch):
+    # the bosonic coefficient of q^6 made -1: its negative part then
+    # exceeds its positive one there, and the difference of the packings
+    # borrows from the digit above; the report must still name -1
+    bad, k = (2, 5, 2, 2, 3, 8), 6
+    want = chi(Model(2, 5), *bad[2:]).coeff(k)
+    assert want == 3
+    _wrong_terms(monkeypatch, cli, "_bosonic_terms", bad, [(k, 0, -1)] * (want + 1))
+    code, out, _ = run(capsys, "verify", "identity", "--ppmax", "5", "--Lmax", "8")
+    assert code == 1
+    summary, wrong = _mismatches(out)
+    assert summary["failures"] == 1
+    rec, = wrong
+    assert (rec["p"], rec["pp"], rec["a"], rec["b"], rec["c"], rec["L"]) == bad
+    assert rec["mismatch"] == {"forms": ["bosonic", "enumerate"], "exponent": k,
+                               "bosonic": -1, "enumerate": want}
+
+
+def test_verify_identity_reports_a_wrong_classical_form(capsys, monkeypatch):
+    # the classical form off by q^k, through its packed smaller-model tail
+    bad, k = (1, 4, 1, 1, 2, 2), 1
+    want = chi(Model(1, 4), 1, 1, 2, 2).coeff(k)
+    tail = characters._tail_terms
+    monkeypatch.setattr(characters, "_tail_terms", lambda system, L: chain(
+        tail(system, L), [(k, 0, 1)] if (system.tak.p, system.tak.pp, system.a, system.b, L)
+        == bad[:4] + bad[5:] else ()))
+    code, out, _ = run(capsys, "verify", "identity", "--ppmax", "4", "--Lmax", "4")
+    assert code == 1
+    summary, wrong = _mismatches(out)
+    assert summary["failures"] == 1
+    rec, = wrong
+    assert (rec["p"], rec["pp"], rec["a"], rec["b"], rec["c"], rec["L"]) == bad
+    assert rec["forms"] == sorted(cli.ALL_FORMS)
+    assert rec["mismatch"] == {"forms": ["bosonic", "fermionic-classical"], "exponent": k,
+                               "bosonic": want, "fermionic-classical": want + 1}
+
+
+def test_verify_identity_reports_a_fermionic_term_below_q0(capsys, monkeypatch):
+    # a fermionic summand moved below q^0 is a mismatch to report, not a
+    # negative shift: its record packs every form from its lowest exponent
+    bad = (1, 4, 1, 1, 2, 2)
+    term = characters._term
+
+    def lowered(system, m_hat, n):
+        e, keys = term(system, m_hat, n)
+        hit = (system.tak.p, system.tak.pp, system.a, system.b, m_hat[0]) == bad[:4] + bad[5:]
+        return e - 5 if hit else e, keys
+
+    monkeypatch.setattr(characters, "_term", lowered)
+    code, out, _ = run(capsys, "verify", "identity", "--ppmax", "4", "--Lmax", "4")
+    assert code == 1
+    summary, wrong = _mismatches(out)
+    assert summary["failures"] == 1
+    rec, = wrong
+    assert (rec["p"], rec["pp"], rec["a"], rec["b"], rec["c"], rec["L"]) == bad
+    assert rec["mismatch"] == {"forms": ["bosonic", "fermionic-classical"], "exponent": -4,
+                               "bosonic": 0, "fermionic-classical": 1}
+
+
+def blanked_sha256(report: bytes) -> str:
+    """SHA-256 of a sweep report with the summary's wall_time_s blanked."""
+    return hashlib.sha256(re.sub(rb'"wall_time_s": [^,}]*', b'"wall_time_s": null',
+                                 report)).hexdigest()
+
+
+def test_verify_identity_report_without_enumeration(capsys, monkeypatch, tmp_path):
+    # a sweep of two forms without the transfer, one bosonic coefficient
+    # made negative: the report's bytes, wall time aside, are those of a
+    # sweep that compares the two forms as polynomials, pinned by digest
+    bad, k = (2, 5, 2, 2, 3, 8), 6
+    _wrong_terms(monkeypatch, cli, "_bosonic_terms", bad, [(k, 0, -1)] * 4)
+    report = tmp_path / "report.jsonl"
+    code, _, _ = run(capsys, "verify", "identity", "--ppmax", "6", "--Lmax", "8",
+                     "--forms", "bosonic,fermionic-modified", "--output", str(report))
+    assert code == 1
+    text = report.read_bytes()
+    assert json.loads(text.splitlines()[-1])["summary"]["records"] == 632
+    assert blanked_sha256(text) == \
+        "5c3e904b87202ef0af187aa81556e8a39a1898395e2995def3724351a61a487d"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_identity_matches_the_benchmark_reference(capsys, monkeypatch, tmp_path, jobs):
+    # the benchmark's identity-sweep grid, whose record count and report
+    # digest perfbench/reference.json pins
+    ref = json.loads((ROOT / "perfbench" / "reference.json").read_text())["identity-sweep"]
+    cpus = os.cpu_count() or 1
+    monkeypatch.setattr(os, "cpu_count", lambda: max(cpus, 2))
+    report = tmp_path / "report.jsonl"
+    code, _, _ = run(capsys, "verify", "identity", "--ppmax", "8", "--Lmax", "12",
+                     "--jobs", jobs, "--output", str(report))
+    assert code == 0
+    text = report.read_bytes()
+    summary = json.loads(text.splitlines()[-1])["summary"]
+    assert (summary["records"], summary["failures"]) == (ref["records"], 0)
+    assert blanked_sha256(text) == ref["sha256"]
 
 
 def strip_summary(report: str) -> list[str]:
@@ -238,10 +354,13 @@ def test_verify_identity_calls_a_wrapped_record_function(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_identity_record", wrapped)
     _, traced, _ = run(capsys, *grid)
     assert strip_summary(traced) == strip_summary(plain)
-    # each task reaches it extended by its chi
+    # each task reaches it extended by its width, base exponent and packed
+    # values, one (positive, negative) pair for each of its forms
     assert [c[:7] for c in calls] == list(cli.iter_identity_tasks(5, 9, cli.ALL_FORMS))
-    for p, pp, a, b, c, L, _, enumerated in calls:
-        assert enumerated == chi(Model(p, pp), a, b, c, L)
+    for p, pp, a, b, c, L, forms, width, low, values in calls:
+        assert set(values) == set(forms)
+        pos, neg = values["enumerate"]
+        assert neg == 0 and unpack_poly(pos, width, low) == chi(Model(p, pp), a, b, c, L)
 
 
 def test_verify_identity_starts_no_idle_worker(capsys, monkeypatch):

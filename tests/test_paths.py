@@ -19,6 +19,7 @@ from fbpaths import (
     postseg_path, striking_sequence, verify_b_bijection,
     weight_from_striking, weight_wt, weight_wtilde, wings_path,
 )
+from fbpaths.qpoly import guard_width, unpack_poly
 from helpers import (
     beta_closed_form, coprime_pairs, enumerate_paths, enumeration_tallies,
     random_winged_walk, step_count, tallied, tallied_by_m, winged_paths,
@@ -377,19 +378,28 @@ def test_chi_block_equals_chi_on_the_sweep_grid(lmax, models):
     # block; at L <= 17 the table packs 3 bytes a coefficient where chi packs
     # 1, 2 or 3, and its absent tuples are the zero polynomial
     tasks = cli.iter_identity_tasks(8, lmax, ("enumerate", "bosonic"))
+    width = guard_width(1 << lmax)
     for (p, pp, a), block in groupby((t for t in tasks if t[:2] in models), itemgetter(0, 1, 2)):
         model = Model(p, pp)
-        table = paths.chi_block(model, a, lmax)
+        table = paths.chi_block(model, a, lmax, width)
         keys = {(b, c, L) for _, _, _, b, c, L, _ in block}
         assert set(table) <= keys
         for b, c, L in keys:
-            assert table.get((b, c, L), QPoly.zero()) == chi(model, a, b, c, L), (p, pp, a, b, c, L)
+            assert unpack_poly(table.get((b, c, L), 0), width) == chi(model, a, b, c, L), \
+                (p, pp, a, b, c, L)
 
 
 def test_chi_block_rejects_a_start_outside_the_grid():
     for a in (0, 8):
         with pytest.raises(ValueError, match="1..p'-1"):
-            paths.chi_block(Model(3, 8), a, 6)
+            paths.chi_block(Model(3, 8), a, 6, 1)
+
+
+def test_chi_block_rejects_a_width_that_cannot_hold_its_paths():
+    # 2^8 paths of length 8 need more than one byte a coefficient
+    with pytest.raises(ValueError, match="cannot hold"):
+        paths.chi_block(Model(3, 8), 1, 8, 1)
+    assert paths.chi_block(Model(3, 8), 1, 7, 1)
 
 
 def test_unreachable_endpoints_compute_no_prefix():

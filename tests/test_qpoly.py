@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fbpaths import QPoly, div_exact, gaussian, gaussian_modified
-from fbpaths.qpoly import pack, unpack_poly
+from fbpaths.qpoly import guard_width, pack, unpack_poly
 from helpers import box_partition_oracle, pochhammer
 
 ONE = QPoly.one()
@@ -172,6 +172,66 @@ def test_kronecker_product_matches_sparse_product(factors):
         acc *= pack(coeffs, width)
     assert unpack_poly(acc, width) == expected
     assert unpack_poly(acc, width, -3) == expected.shift(-3)
+
+
+def signed_pack(coeffs, width: int) -> int:
+    """Signed coefficients, low first, packed as the difference of their
+    positive and their negative parts, as the identity sweep packs them."""
+    return pack([max(c, 0) for c in coeffs], width) - pack([max(-c, 0) for c in coeffs], width)
+
+
+def balanced_digits(packed: int, width: int) -> list[int]:
+    """The digits in (-X/2, X/2], X = 2^(8 width), low first, of an int: the
+    inverse of signed_pack on coefficients below the guard bit, with the
+    trailing zeros dropped."""
+    X = 1 << 8 * width
+    digits = []
+    while packed:
+        d = (packed + X // 2 - 1) % X - (X // 2 - 1)
+        digits.append(d)
+        packed = (packed - d) // X
+    return digits
+
+
+def strip_zeros(coeffs) -> list[int]:
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_signed_packings_below_the_guard_bit_are_injective(data):
+    width = data.draw(st.integers(1, 3), label="width")
+    half = 1 << 8 * width - 1
+    vectors = st.lists(st.integers(-half + 1, half - 1), max_size=8)
+    u = data.draw(vectors, label="u")
+    v = data.draw(st.one_of(vectors, st.just(u + [0])), label="v")
+    # each vector decodes back from its packing, so no two share one
+    assert balanced_digits(signed_pack(u, width), width) == strip_zeros(u)
+    assert (signed_pack(u, width) == signed_pack(v, width)) == (strip_zeros(u) == strip_zeros(v))
+    # and so does the polynomial, from the two parts apart
+    pos = pack([max(c, 0) for c in u], width)
+    neg = pack([max(-c, 0) for c in u], width)
+    assert unpack_poly(pos, width) - unpack_poly(neg, width) == QPoly(dict(enumerate(u)))
+
+
+@given(st.integers(0, 2 ** 80))
+def test_guard_width_is_the_fewest_bytes_above_the_bound(bound):
+    width = guard_width(bound)
+    assert bound < 1 << 8 * width - 1
+    assert width == 1 or bound >= 1 << 8 * (width - 1) - 1
+
+
+def test_without_the_guard_bit_two_packings_collide():
+    # with digits allowed up to |c| < X, (c0 - X, c1 + 1) and (c0, c1) are
+    # both packed to c0 + c1 X; the guard bit, |c| < X/2, rules out c0 - X
+    width, (c0, c1) = 1, (100, 3)
+    X = 1 << 8 * width
+    assert abs(c0 - X) < X and abs(c0 - X) >= X // 2
+    assert signed_pack([c0 - X, c1 + 1], width) == signed_pack([c0, c1], width)
+    assert guard_width(max(abs(c0 - X), c1 + 1)) > width
 
 
 def test_qpoly_pickles():
