@@ -4,18 +4,18 @@ Three independent routes to the same polynomial: the transfer-matrix
 recurrence over the vertices (module paths), the alternating-sign double
 sum with Gaussian factors, and two constant-sign quadratic-exponent sums
 driven by the Takahashi data (one with classical Gaussians plus a
-smaller-model tail, one with modified Gaussians and no tail): one walk and
-one packed kernel, _packed_sum, give both, cached as a bounded pair.  The
-classical form and the mn-system keep the walk's summands with all n_j >= 0;
-only the forms compute a summand's exponent and Gaussians (_term).
+smaller-model tail, one with modified Gaussians and no tail).  One m-vector
+walk gives the summands of both fermionic forms and of the mn-system; the
+classical form and the mn-system keep those with all n_j >= 0, and only the
+forms compute a summand's exponent and Gaussians (_term).
 
-Each sum is a list of terms (_bosonic_terms, _tail_terms, _split_terms)
-read by two consumers: the public forms build a QPoly, and the identity
-sweep packs every form at one width (_packed_bosonic, _packed_fermionic),
-the bosonic sums as separate positive and negative parts, so that int
-equality decides polynomial equality (qpoly.guard_width).  Each form's
-bound on its coefficients comes from its own terms (_sum_bound, 2^L for a
-bosonic part), never from another route.
+Each sum has one reader.  Its terms (_bosonic_terms, _tail_terms, the
+walk's summands) are packed at a guarded width as (positive, negative)
+parts (_packed_bosonic, _packed_fermionic), and a public form decodes that
+pair once (qpoly.unpack_pair).  The identity sweep compares the same packed
+values undecoded: int equality decides polynomial equality
+(qpoly.guard_width).  Each form's bound on its coefficients comes from its
+own terms (_sum_bound, 2^L for a bosonic part), never from another route.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from itertools import chain, starmap
 from math import comb, prod
 
 from .model import Model, TakahashiData, continued_fraction
-from .qpoly import QPoly, gaussian, guard_width, pack, unpack_poly
+from .qpoly import QPoly, gaussian, guard_width, pack, unpack_pair, unpack_poly
 
 
 # -- alternating-sign (bosonic) form ------------------------------------------
@@ -70,15 +70,6 @@ def _bosonic_terms(p: int, pp: int, a: int, b: int, c: int, L: int):
         yield term
 
 
-def _bosonic_sum(terms, L: int) -> QPoly:
-    """The sum over (exponent, k, sign) of sign * q^exponent [L over k]."""
-    out: dict[int, int] = {}
-    for ex, k, sign in terms:
-        for e, coeff in gaussian(L, k).terms.items():
-            out[e + ex] = out.get(e + ex, 0) + sign * coeff
-    return QPoly(out)
-
-
 def _packed_bosonic(terms, L: int, width: int) -> tuple[int, int]:
     """(positive, negative) parts of the sum over (exponent, k, sign) of
     sign * q^exponent [L over k], each packed at `width` bytes from q^0.
@@ -94,7 +85,8 @@ def _packed_bosonic(terms, L: int, width: int) -> tuple[int, int]:
 
 def bosonic(p: int, pp: int, a: int, b: int, c: int, L: int) -> QPoly:
     """Alternating double sum with Gaussian factors; equals the enumeration."""
-    return _bosonic_sum(_bosonic_terms(p, pp, a, b, c, L), L)
+    width = guard_width(1 << max(L, 0))  # no term at L < 0, but the heights are still checked
+    return unpack_pair(_packed_bosonic(_bosonic_terms(p, pp, a, b, c, L), L, width), width)
 
 
 def partition_series(N: int) -> QPoly:
@@ -377,11 +369,6 @@ def _tail_terms(system: FermionicSystem, L: int):
     return _bosonic_terms(zn, yn, a, b, c if 1 <= c <= yn - 1 else b - 1, L)
 
 
-def _classical_tail(system: FermionicSystem, L: int) -> QPoly:
-    """The smaller-model term that the classical form adds to its sum."""
-    return _bosonic_sum(_tail_terms(system, L), L)
-
-
 @lru_cache(maxsize=4096)
 def _packed_gaussian(top: int, k: int, width: int) -> int:
     """The classical Gaussian [top over k] packed at `width` bytes per coefficient."""
@@ -429,13 +416,6 @@ def _split_terms(system: FermionicSystem, L: int) -> tuple[list, list]:
     return split
 
 
-@lru_cache(maxsize=64)
-def _fermionic_sums(p: int, pp: int, a: int, b: int, L: int, prefer_t_prime: bool):
-    """(classical sum without its tail, modified sum): kept plus annihilated."""
-    kept, annihilated = map(_gaussian_sum, _split_terms(build_system(p, pp, a, b, prefer_t_prime), L))
-    return kept, kept + annihilated
-
-
 def _fermionic_walk(system: FermionicSystem, L: int):
     """(split, low, classical bound, modified bound) of the summands at
     length L >= 0, from one walk: split as _split_terms gives it,
@@ -449,29 +429,38 @@ def _fermionic_walk(system: FermionicSystem, L: int):
     return split, low, kept + (1 << L), kept + annihilated
 
 
-def _packed_fermionic(system: FermionicSystem, L: int, split, width: int, low: int):
-    """(classical, modified), each as the (positive, negative) parts of the
-    form times q^-low, packed at `width` bytes a coefficient; split, low and
-    a width above the bounds come from _fermionic_walk."""
-    kept, annihilated = (_packed_sum(terms, width, low) for terms in split)
+def _packed_fermionic(system: FermionicSystem, L: int, split, modified: bool,
+                      width: int, low: int) -> tuple[int, int]:
+    """The (positive, negative) parts of one form times q^-low, packed at
+    `width` bytes a coefficient: the classical form packs the kept summands
+    and its tail, the modified form the kept and the annihilated summands.
+    split, low and a width above the form's bound come from _fermionic_walk."""
+    kept, annihilated = split
+    if modified:
+        return _packed_sum(kept + annihilated, width, low), 0
     pos, neg = _packed_bosonic(_tail_terms(system, L), L, width)
     shift = -8 * width * low
-    return (kept + (pos << shift), neg << shift), (kept + annihilated, 0)
+    return _packed_sum(kept, width, low) + (pos << shift), neg << shift
+
+
+def _fermionic(p: int, pp: int, a: int, b: int, L: int, prefer_t_prime: bool,
+               modified: bool) -> QPoly:
+    """One fermionic form, decoded from its packing at its own bound's width."""
+    system = build_system(p, pp, a, b, prefer_t_prime)  # checks a and b at every L
+    if L < 0 or (L + a - b) % 2:
+        return QPoly.zero()
+    split, low, *bounds = _fermionic_walk(system, L)
+    width = guard_width(bounds[modified])
+    return unpack_pair(_packed_fermionic(system, L, split, modified, width, low), width, low)
 
 
 def fermionic_classical(p: int, pp: int, a: int, b: int, L: int,
                         prefer_t_prime: bool = False) -> QPoly:
     """Constant-sign sum with classical Gaussians plus the smaller-model tail."""
-    system = build_system(p, pp, a, b, prefer_t_prime)  # checks a and b at every L
-    if L < 0 or (L + a - b) % 2:
-        return QPoly.zero()
-    return _fermionic_sums(p, pp, a, b, L, prefer_t_prime)[0] + _classical_tail(system, L)
+    return _fermionic(p, pp, a, b, L, prefer_t_prime, False)
 
 
 def fermionic_modified(p: int, pp: int, a: int, b: int, L: int,
                        prefer_t_prime: bool = False) -> QPoly:
     """Constant-sign sum with modified Gaussians; no tail term."""
-    build_system(p, pp, a, b, prefer_t_prime)  # checks a and b at every L
-    if L < 0 or (L + a - b) % 2:
-        return QPoly.zero()
-    return _fermionic_sums(p, pp, a, b, L, prefer_t_prime)[1]
+    return _fermionic(p, pp, a, b, L, prefer_t_prime, True)

@@ -22,7 +22,7 @@ from .paths import (
     Path, chi, chi_block, chi_tilde_restricted, path_from_json,
     path_to_json, striking_sequence, weight_wt, weight_wtilde,
 )
-from .qpoly import QPoly, guard_width, unpack_poly
+from .qpoly import QPoly, guard_width, unpack_pair
 from .transforms import (
     _first_mismatch, b1, b2, b3, bd_transform, d_transform, decompose,
 )
@@ -63,9 +63,8 @@ def _identity_record(task) -> dict:
     for name in names[1:]:
         other = values[name]
         if ref[0] - ref[1] != other[0] - other[1]:
-            bad, c_ref, c_other = _first_mismatch(*(
-                unpack_poly(pos, width, low) - unpack_poly(neg, width, low)
-                for pos, neg in (ref, other)))
+            bad, c_ref, c_other = _first_mismatch(unpack_pair(ref, width, low),
+                                                  unpack_pair(other, width, low))
             mismatch = {"forms": [ref_name, name], "exponent": bad,
                         ref_name: c_ref, name: c_other}
             break
@@ -82,7 +81,7 @@ def _identity_block(tasks: list[tuple]) -> tuple[str, int, int]:
     2^Lmax paths.  The width is the guard_width of the largest bound, and
     one chi_block transfer at that width gives chi for every task.  A task
     whose fermionic summands reach below q^0 (low < 0) packs all its forms
-    from q^low.
+    from q^low, and only the fermionic forms it asks for are packed.
     """
     p, pp, a = tasks[0][:3]
     lmax = max(t[5] for t in tasks)
@@ -97,17 +96,19 @@ def _identity_block(tasks: list[tuple]) -> tuple[str, int, int]:
     table = chi_block(Model(p, pp), a, lmax, width) if "enumerate" in tasks[0][6] else {}
     records = []
     for p, pp, a, b, c, L, forms in tasks:
-        low, packed = 0, {}
+        low, values = 0, {}
         if forms[-1].startswith("fermionic"):
             system, split, low = walks[b, L]
-            packed = dict(zip(ALL_FORMS[2:], _packed_fermionic(system, L, split, width, low)))
         shift = -8 * width * low
-        if "enumerate" in forms:
-            packed["enumerate"] = (table.get((b, c, L), 0) << shift, 0)
-        if "bosonic" in forms:
-            packed["bosonic"] = tuple(part << shift for part in _packed_bosonic(
-                _bosonic_terms(p, pp, a, b, c, L), L, width))
-        values = {name: packed[name] for name in forms}
+        for name in forms:
+            if name == "enumerate":
+                values[name] = (table.get((b, c, L), 0) << shift, 0)
+            elif name == "bosonic":
+                values[name] = tuple(part << shift for part in _packed_bosonic(
+                    _bosonic_terms(p, pp, a, b, c, L), L, width))
+            else:
+                values[name] = _packed_fermionic(system, L, split, name == "fermionic-modified",
+                                                 width, low)
         records.append(_identity_record((p, pp, a, b, c, L, forms, width, low, values)))
     return ("".join(json.dumps(rec) + "\n" for rec in records), len(records),
             sum(not rec["equal"] for rec in records))
@@ -116,22 +117,22 @@ def _identity_block(tasks: list[tuple]) -> tuple[str, int, int]:
 def iter_identity_tasks(ppmax: int, lmax: int, forms):
     """Sweep tuples: all (a,b,c) for the enumeration/bosonic pair, Takahashi
     endpoints with the canonical c for the fermionic forms."""
-    boson_side = [f for f in forms if f in ("enumerate", "bosonic")]
-    fermi_side = [f for f in forms if f.startswith("fermionic")]
+    boson_side = tuple(f for f in forms if f in ("enumerate", "bosonic"))
+    fermi_side = tuple(f for f in forms if f.startswith("fermionic"))
     for p, pp in coprime_pairs(ppmax):
         tak = continued_fraction(p, pp)
-        members = sorted(tak.T | tak.T_prime)
+        members = tak.T | tak.T_prime
         for a in range(1, pp):
             for b in range(1, pp):
                 for c in (b - 1, b + 1):
                     if not 1 <= c <= pp - 1:
                         continue
-                    for L in range((a + b) % 2, lmax + 1, 2):
-                        fc = fermi_side and a in members and b in members \
-                            and c == c_from_b(p, pp, b)
-                        use = list(boson_side) + (list(fermi_side) if fc else [])
-                        if len(use) >= 2:
-                            yield (p, pp, a, b, c, L, tuple(use))
+                    fc = fermi_side and a in members and b in members \
+                        and c == c_from_b(p, pp, b)
+                    use = boson_side + (fermi_side if fc else ())
+                    if len(use) >= 2:
+                        for L in range((a + b) % 2, lmax + 1, 2):
+                            yield (p, pp, a, b, c, L, use)
 
 
 def run_verify_identity(ppmax: int, lmax: int, jobs: int, forms, out) -> int:

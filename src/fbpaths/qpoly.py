@@ -277,3 +277,10 @@ def unpack_poly(packed: int, width: int, low: int = 0) -> QPoly:
     raw = packed.to_bytes(width * -(-packed.bit_length() // (8 * width)), "little")
     coeffs = [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
     return QPoly._of({e: c for e, c in enumerate(coeffs, low) if c})
+
+
+def unpack_pair(parts: tuple[int, int], width: int, low: int = 0) -> QPoly:
+    """The polynomial pos - neg of (positive, negative) parts packed as
+    unpack_poly reads them."""
+    pos, neg = parts
+    return unpack_poly(pos, width, low) - unpack_poly(neg, width, low)

@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from fbpaths import (
     Model, Path, PathStats, QPoly, TransformError, Wings, continued_fraction,
-    flat_sharp, iter_height_seqs, striking_sequence,
+    flat_sharp, gaussian, iter_height_seqs, striking_sequence,
 )
+from fbpaths.characters import _summands, _tail_terms, _term
 from fbpaths.model import coprime_pairs
 from fbpaths.paths import _ends, _first_segment, _parity_table, _score, rebuild_heights
 from fbpaths.transforms import _score_wings
@@ -252,6 +253,42 @@ def leaf_filtered_walk(system, L, modified):
         if any(n[j - 1] < 0 and not (modified and m_hat[j] == 0) for j in range(1, t)):
             continue
         yield m_hat, tuple(n)
+
+
+def sparse_sum(terms, L):
+    """Oracle for the packed bosonic sums of fbpaths.characters: the sum over
+    (exponent, k, sign) of sign * q^exponent [L over k], added term by term
+    on a dict of coefficients."""
+    out = {}
+    for ex, k, sign in terms:
+        for e, coeff in gaussian(L, k).terms.items():
+            out[e + ex] = out.get(e + ex, 0) + sign * coeff
+    return QPoly(out)
+
+
+def sparse_summands(system, L, modified):
+    """Oracle for characters.fermionic_terms: (m_hat, n, term) of each summand
+    of the form, its Gaussians multiplied out as sparse polynomials; the
+    classical form has no annihilated particle (n_j < 0)."""
+    terms = []
+    for m_hat, n, _ in _summands(system, L):
+        if not (modified or all(v >= 0 for v in n)):
+            continue
+        e, keys = _term(system, m_hat, n)
+        term = QPoly.one()
+        for key in keys:
+            term = term * gaussian(*key)
+        terms.append((m_hat, n, term.shift(e)))
+    return terms
+
+
+def sparse_fermionic(system, L, modified):
+    """Oracle for the fermionic forms: the sparse summands, plus the classical
+    form's smaller-model tail by sparse_sum."""
+    total = QPoly.zero() if modified else sparse_sum(_tail_terms(system, L), L)
+    for _, _, term in sparse_summands(system, L, modified):
+        total = total + term
+    return total
 
 
 def dense_rows(system, first):

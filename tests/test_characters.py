@@ -14,13 +14,14 @@ from fbpaths import (
 )
 import fbpaths.characters as characters
 from fbpaths.characters import (
-    _bosonic_terms, _classical_tail, _fermionic_walk, _iter_admissible_m, _packed_bosonic,
-    _packed_fermionic, _summands, _term,
+    _bosonic_terms, _fermionic_walk, _iter_admissible_m, _packed_bosonic,
+    _packed_fermionic, _summands,
 )
-from fbpaths.qpoly import guard_width, unpack_poly
+from fbpaths.qpoly import guard_width, unpack_pair
 from helpers import (
     beta_prime, coprime_pairs, dense_exponents, dense_parity, dense_rows,
-    leaf_filtered_walk, recursive_walk, step_count, unpruned_walk_size, walk_outcome,
+    leaf_filtered_walk, recursive_walk, sparse_fermionic, sparse_summands, sparse_sum,
+    step_count, unpruned_walk_size, walk_outcome,
 )
 
 
@@ -47,6 +48,8 @@ def test_bosonic_trivia():
     assert bosonic(3, 8, 1, 2, 3, 4) == QPoly.zero()  # L + a - b odd
     with pytest.raises(ValueError):
         bosonic(3, 8, 1, 2, 4, 5)  # c != b +- 1
+    with pytest.raises(ValueError, match="c = b"):
+        bosonic(3, 8, 1, 2, 4, -1)  # no term at L < 0, and still c != b +- 1
 
 
 def test_bosonic_reflection_law():
@@ -89,8 +92,9 @@ def test_a_negative_bosonic_exponent_raises(monkeypatch):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_packed_forms_decode_to_the_forms_within_their_bounds(data):
-    # the identity sweep's packed values, taken apart, are the public forms,
-    # and every coefficient keeps below the bound that sizes their width
+    # the identity sweep's packed values, taken apart, are the sums of the
+    # sparse oracles, and every coefficient keeps below the bound that sizes
+    # their width
     p, pp = data.draw(st.sampled_from(coprime_pairs(20)), label="(p, pp)")
     members = takahashi_members(p, pp)
     a = data.draw(st.sampled_from(members), label="a")
@@ -101,11 +105,12 @@ def test_packed_forms_decode_to_the_forms_within_their_bounds(data):
     split, low, *bounds = _fermionic_walk(system, L)
     width = guard_width(max(bounds + [1 << L]))
     pos, neg = _packed_bosonic(_bosonic_terms(p, pp, a, b, c, L), L, width)
-    packed = [(pos, neg)] + list(_packed_fermionic(system, L, split, width, low))
-    forms = [bosonic(p, pp, a, b, c, L), fermionic_classical(p, pp, a, b, L),
-             fermionic_modified(p, pp, a, b, L)]
+    packed = [(pos, neg)] + [_packed_fermionic(system, L, split, modified, width, low)
+                             for modified in (False, True)]
+    forms = [sparse_sum(_bosonic_terms(p, pp, a, b, c, L), L),
+             sparse_fermionic(system, L, False), sparse_fermionic(system, L, True)]
     for (pos, neg), form, bound in zip(packed, forms, [1 << L] + bounds):
-        assert (unpack_poly(pos, width, low) - unpack_poly(neg, width, low)) == form
+        assert unpack_pair((pos, neg), width, low) == form
         assert max(map(abs, form.terms.values()), default=0) <= bound
     assert len({pos - neg for pos, neg in packed}) == 1
 
@@ -486,25 +491,12 @@ def test_packed_sum_equals_sum_of_terms(data):
     odd = (a + b) % 2
     L = data.draw(st.integers(0, (30 - odd) // 2).map(lambda k: 2 * k + odd), label="L")
     system = build_system(p, pp, a, b, tprime)
-    summands = _summands(system, L)
     for form, modified in ((fermionic_classical, False), (fermionic_modified, True)):
-        # each summand as a sparse product of its Gaussians, apart from the
-        # packed kernel that both fermionic_terms and the forms go through;
-        # the classical form has no annihilated particle (n_j < 0)
-        terms = []
-        for m_hat, n, _ in summands:
-            if not (modified or all(v >= 0 for v in n)):
-                continue
-            e, keys = _term(system, m_hat, n)
-            term = QPoly.one()
-            for key in keys:
-                term = term * gaussian(*key)
-            terms.append((m_hat, n, term.shift(e)))
-        assert fermionic_terms(system, L, modified) == terms
-        expected = QPoly.zero() if modified else _classical_tail(system, L)
-        for _, _, term in terms:
-            expected = expected + term
-        assert form(p, pp, a, b, L, prefer_t_prime=tprime) == expected
+        # each summand as a sparse product of its Gaussians and the tail as a
+        # sparse sum, apart from the packed kernel that both fermionic_terms
+        # and the forms go through
+        assert fermionic_terms(system, L, modified) == sparse_summands(system, L, modified)
+        assert form(p, pp, a, b, L, prefer_t_prime=tprime) == sparse_fermionic(system, L, modified)
 
 
 @settings(max_examples=300, deadline=None)
@@ -545,9 +537,10 @@ def test_results_do_not_depend_on_cache_state():
     # widths, and the list runs the wide ones first, so each kind warms the
     # caches for the other in one of the two orders; the two wings e share a
     # model, a, b and L but not a first vertex.  The two fermionic forms of
-    # one (a, b, L) share one walk, so each form runs right after the other
-    # in one of the orders, and the two Takahashi readings of (1,5) give
-    # different sums for the same (a, b, L).  Each call must give the same
+    # one (a, b, L) share the cached system and packed Gaussians, at the
+    # width of each form's own bound, so each form runs right after the
+    # other in one of the orders, and the two Takahashi readings of (1,5)
+    # give different sums for the same (a, b, L).  Each call must give the same
     # result whichever calls warmed the caches.
     model = Model(3, 8)
     calls = []

@@ -88,10 +88,37 @@ def test_chi_enumerate_heights_outside_the_grid(capsys, heights):
 
 
 def test_chi_enumerate_impossible_tuples_are_zero(capsys):
-    for L in ("4", "-1"):  # wrong parity, negative length
-        code, out, _ = run(capsys, "chi", "enumerate", "--p", "3", "--pp", "8",
-                           "--a", "1", "--b", "2", "--L", L)
-        assert code == 0 and out.strip() == "{}"
+    # and so are the closed forms, which have no term there
+    for route in (("enumerate",), ("bosonic",), ("fermionic", "--form", "classical"),
+                  ("fermionic", "--form", "modified")):
+        for L in ("4", "-1"):  # wrong parity, negative length
+            code, out, _ = run(capsys, "chi", route[0], "--p", "3", "--pp", "8",
+                               "--a", "1", "--b", "2", "--L", L, *route[1:])
+            assert code == 0 and out.strip() == "{}", (route, L)
+
+
+def test_chi_closed_forms_golden_at_large_L(capsys):
+    # the benchmark's char-large-L tuples: every image of its six endpoint
+    # orbits under a <-> b and h -> p'-h, at L = 33 (3,8) or 22 (11,38),
+    # one more where parity needs it; the digest of the three closed forms'
+    # concatenated output pins its bytes
+    orbits = ((3, 8, 1, 2), (3, 8, 1, 3), (3, 8, 2, 3),
+              (11, 38, 1, 1), (11, 38, 2, 4), (11, 38, 17, 17))
+    routes = (("bosonic",), ("fermionic", "--form", "classical"),
+              ("fermionic", "--form", "modified"))
+    texts = []
+    for p, pp, a0, b0 in orbits:
+        L0 = 33 if pp == 8 else 22
+        for a, b in sorted({(a0, b0), (b0, a0), (pp - a0, pp - b0), (pp - b0, pp - a0)}):
+            L = L0 + (L0 + a - b) % 2
+            for route in routes:
+                code, out, _ = run(capsys, "chi", route[0], "--p", str(p), "--pp", str(pp),
+                                   "--a", str(a), "--b", str(b), "--L", str(L), *route[1:])
+                assert code == 0
+                texts.append(out)
+    assert len(texts) == 60
+    assert hashlib.sha256("".join(texts).encode()).hexdigest() == \
+        "2dc62e2ff0034ad87c36b0ada548d681e7efd93b6efa3f4c44c91d2c87373b4e"
 
 
 def test_model_show_golden(capsys):
@@ -262,6 +289,19 @@ def test_verify_identity_reports_a_fermionic_term_below_q0(capsys, monkeypatch):
     assert (rec["p"], rec["pp"], rec["a"], rec["b"], rec["c"], rec["L"]) == bad
     assert rec["mismatch"] == {"forms": ["bosonic", "fermionic-classical"], "exponent": -4,
                                "bosonic": 0, "fermionic-classical": 1}
+
+
+def test_verify_identity_packs_only_the_forms_it_compares(capsys, monkeypatch):
+    # a sweep without the classical form never builds its tail
+    def no_tail(system, L):
+        raise RuntimeError("the classical tail was packed")
+
+    monkeypatch.setattr(characters, "_tail_terms", no_tail)
+    code, out, _ = run(capsys, "verify", "identity", "--ppmax", "6", "--Lmax", "8",
+                       "--forms", "enumerate,fermionic-modified")
+    assert code == 0
+    summary, wrong = _mismatches(out)
+    assert summary["failures"] == 0 and summary["records"] > 0 and wrong == []
 
 
 def blanked_sha256(report: bytes) -> str:

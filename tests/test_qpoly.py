@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fbpaths import QPoly, div_exact, gaussian, gaussian_modified
-from fbpaths.qpoly import guard_width, pack, unpack_poly
+from fbpaths.qpoly import guard_width, pack, unpack_pair, unpack_poly
 from helpers import box_partition_oracle, pochhammer
 
 ONE = QPoly.one()
@@ -215,6 +215,7 @@ def test_signed_packings_below_the_guard_bit_are_injective(data):
     pos = pack([max(c, 0) for c in u], width)
     neg = pack([max(-c, 0) for c in u], width)
     assert unpack_poly(pos, width) - unpack_poly(neg, width) == QPoly(dict(enumerate(u)))
+    assert unpack_pair((pos, neg), width, -2) == QPoly(dict(enumerate(u, -2)))
 
 
 @given(st.integers(0, 2 ** 80))
