@@ -10,12 +10,13 @@ classical form and the mn-system keep those with all n_j >= 0, and only the
 forms compute a summand's exponent and Gaussians (_term).
 
 Each sum has one reader.  Its terms (_bosonic_terms, _tail_terms, the
-walk's summands) are packed at a guarded width as (positive, negative)
-parts (_packed_bosonic, _packed_fermionic), and a public form decodes that
-pair once (qpoly.unpack_pair).  The identity sweep compares the same packed
-values undecoded: int equality decides polynomial equality
-(qpoly.guard_width).  Each form's bound on its coefficients comes from its
-own terms (_sum_bound, 2^L for a bosonic part), never from another route.
+walk's summands) are packed into one signed int at a guarded width, the
+negative terms subtracted (_packed_bosonic, _packed_fermionic), and a
+public form decodes that int once (qpoly.unpack_poly).  The identity sweep
+compares the same packed values undecoded: int equality decides
+polynomial equality (qpoly.guard_width).  Each form's bound on its
+coefficients comes from its own terms (_sum_bound, 2^L for a bosonic sum),
+never from another route.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from itertools import chain, starmap
 from math import comb, prod
 
 from .model import Model, TakahashiData, continued_fraction
-from .qpoly import QPoly, gaussian, guard_width, pack, unpack_pair, unpack_poly
+from .qpoly import QPoly, gaussian, guard_width, pack, unpack_poly
 
 
 # -- alternating-sign (bosonic) form ------------------------------------------
@@ -70,23 +71,24 @@ def _bosonic_terms(p: int, pp: int, a: int, b: int, c: int, L: int):
         yield term
 
 
-def _packed_bosonic(terms, L: int, width: int) -> tuple[int, int]:
-    """(positive, negative) parts of the sum over (exponent, k, sign) of
-    sign * q^exponent [L over k], each packed at `width` bytes from q^0.
-    On the terms of _bosonic_terms or _tail_terms each part takes the row
-    [L over k] at most once per k, so each of its coefficients is at most
-    sum_k C(L, k) = 2^L."""
-    parts = [0, 0]
+def _packed_bosonic(terms, L: int, width: int, low: int) -> int:
+    """The sum over (exponent, k, sign) of sign * q^(exponent - low)
+    [L over k], each exponent >= low, packed at `width` bytes a coefficient
+    as one signed int.  On the terms of _bosonic_terms or _tail_terms the
+    positive and the negative terms each take [L over k] at most once per
+    k, so no coefficient exceeds sum_k C(L, k) = 2^L in absolute value."""
+    acc = 0
     bits = 8 * width
     for ex, k, sign in terms:
-        parts[sign < 0] += _packed_gaussian(L, k, width) << bits * ex
-    return parts[0], parts[1]
+        term = _packed_gaussian(L, k, width) << bits * (ex - low)
+        acc = acc + term if sign > 0 else acc - term
+    return acc
 
 
 def bosonic(p: int, pp: int, a: int, b: int, c: int, L: int) -> QPoly:
     """Alternating double sum with Gaussian factors; equals the enumeration."""
     width = guard_width(1 << max(L, 0))  # no term at L < 0, but the heights are still checked
-    return unpack_pair(_packed_bosonic(_bosonic_terms(p, pp, a, b, c, L), L, width), width)
+    return unpack_poly(_packed_bosonic(_bosonic_terms(p, pp, a, b, c, L), L, width, 0), width)
 
 
 def partition_series(N: int) -> QPoly:
@@ -407,40 +409,32 @@ def _gaussian_sum(terms) -> QPoly:
     return unpack_poly(_packed_sum(terms, width, low), width, low)
 
 
-def _split_terms(system: FermionicSystem, L: int) -> tuple[list, list]:
-    """The (exponent, keys) of each modified summand (see _term), in two
-    lists: the kept summands, then the annihilated ones."""
+def _fermionic_walk(system: FermionicSystem, L: int):
+    """(split, low, classical bound, modified bound) of the summands at
+    length L >= 0, from one walk: split holds the (exponent, keys) of each
+    modified summand (see _term) in two lists, the kept summands and then
+    the annihilated ones; low = min(0, lowest summand exponent); and each
+    bound is one on the absolute value of every coefficient of its form,
+    read off the form's own summands (the tail adds 2^L, as bosonic does),
+    never off the value the identity says it has."""
     split = ([], [])
     for m_hat, n, kept in _summands(system, L):
         split[not kept].append(_term(system, m_hat, n))
-    return split
-
-
-def _fermionic_walk(system: FermionicSystem, L: int):
-    """(split, low, classical bound, modified bound) of the summands at
-    length L >= 0, from one walk: split as _split_terms gives it,
-    low = min(0, lowest summand exponent), and each bound one on the
-    absolute value of every coefficient of its form, read off the form's
-    own summands (the tail adds 2^L, as bosonic does), never off the value
-    the identity says it has."""
-    split = _split_terms(system, L)
     kept, annihilated = map(_sum_bound, split)
     low = min([0] + [e for terms in split for e, _ in terms])
     return split, low, kept + (1 << L), kept + annihilated
 
 
 def _packed_fermionic(system: FermionicSystem, L: int, split, modified: bool,
-                      width: int, low: int) -> tuple[int, int]:
-    """The (positive, negative) parts of one form times q^-low, packed at
-    `width` bytes a coefficient: the classical form packs the kept summands
-    and its tail, the modified form the kept and the annihilated summands.
-    split, low and a width above the form's bound come from _fermionic_walk."""
+                      width: int, low: int) -> int:
+    """One form times q^-low, packed at `width` bytes a coefficient as one
+    signed int: the classical form adds the kept summands and its tail, the
+    modified form the kept and the annihilated summands.  split, low and a
+    width above the form's bound come from _fermionic_walk."""
     kept, annihilated = split
     if modified:
-        return _packed_sum(kept + annihilated, width, low), 0
-    pos, neg = _packed_bosonic(_tail_terms(system, L), L, width)
-    shift = -8 * width * low
-    return _packed_sum(kept, width, low) + (pos << shift), neg << shift
+        return _packed_sum(kept + annihilated, width, low)
+    return _packed_sum(kept, width, low) + _packed_bosonic(_tail_terms(system, L), L, width, low)
 
 
 def _fermionic(p: int, pp: int, a: int, b: int, L: int, prefer_t_prime: bool,
@@ -451,7 +445,7 @@ def _fermionic(p: int, pp: int, a: int, b: int, L: int, prefer_t_prime: bool,
         return QPoly.zero()
     split, low, *bounds = _fermionic_walk(system, L)
     width = guard_width(bounds[modified])
-    return unpack_pair(_packed_fermionic(system, L, split, modified, width, low), width, low)
+    return unpack_poly(_packed_fermionic(system, L, split, modified, width, low), width, low)
 
 
 def fermionic_classical(p: int, pp: int, a: int, b: int, L: int,

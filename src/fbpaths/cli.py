@@ -22,7 +22,7 @@ from .paths import (
     Path, chi, chi_block, chi_tilde_restricted, path_from_json,
     path_to_json, striking_sequence, weight_wt, weight_wtilde,
 )
-from .qpoly import QPoly, guard_width, unpack_pair
+from .qpoly import QPoly, guard_width, unpack_poly
 from .transforms import (
     _first_mismatch, b1, b2, b3, bd_transform, d_transform, decompose,
 )
@@ -49,9 +49,9 @@ def _identity_record(task) -> dict:
     and the packed value of each of its forms, as one argument so that a
     caller can wrap it (perfbench/traced_cli.py does).
 
-    A value is the (positive, negative) pair of packings of the form times
-    q^-low, at one width that keeps a guard bit above every form's bound
-    (qpoly.guard_width), so pos - neg of two forms are equal exactly when
+    A value is the form times q^-low packed into one signed int, at one
+    width that keeps a guard bit above every form's bound
+    (qpoly.guard_width), so the ints of two forms are equal exactly when
     the polynomials are.  Only a mismatch is unpacked, to name its first
     differing coefficient.
     """
@@ -62,9 +62,9 @@ def _identity_record(task) -> dict:
     mismatch = None
     for name in names[1:]:
         other = values[name]
-        if ref[0] - ref[1] != other[0] - other[1]:
-            bad, c_ref, c_other = _first_mismatch(unpack_pair(ref, width, low),
-                                                  unpack_pair(other, width, low))
+        if other != ref:
+            bad, c_ref, c_other = _first_mismatch(unpack_poly(ref, width, low),
+                                                  unpack_poly(other, width, low))
             mismatch = {"forms": [ref_name, name], "exponent": bad,
                         ref_name: c_ref, name: c_other}
             break
@@ -74,10 +74,10 @@ def _identity_record(task) -> dict:
 
 def _identity_block(tasks: list[tuple]) -> tuple[str, int, int]:
     """(report lines, record count, failure count) of the tasks of one
-    (p, p', a) block, every value of the block packed at one width.
+    (p, p', a) block, every value of the block a signed int at one width.
 
     The fermionic summands of each (b, L) are walked once, first, for their
-    bounds; the transfer and each of bosonic's two sums are bounded by the
+    bounds; the transfer and bosonic's signed sum are bounded by the
     2^Lmax paths.  The width is the guard_width of the largest bound, and
     one chi_block transfer at that width gives chi for every task.  A task
     whose fermionic summands reach below q^0 (low < 0) packs all its forms
@@ -99,13 +99,11 @@ def _identity_block(tasks: list[tuple]) -> tuple[str, int, int]:
         low, values = 0, {}
         if forms[-1].startswith("fermionic"):
             system, split, low = walks[b, L]
-        shift = -8 * width * low
         for name in forms:
             if name == "enumerate":
-                values[name] = (table.get((b, c, L), 0) << shift, 0)
+                values[name] = table.get((b, c, L), 0) << -8 * width * low
             elif name == "bosonic":
-                values[name] = tuple(part << shift for part in _packed_bosonic(
-                    _bosonic_terms(p, pp, a, b, c, L), L, width))
+                values[name] = _packed_bosonic(_bosonic_terms(p, pp, a, b, c, L), L, width, low)
             else:
                 values[name] = _packed_fermionic(system, L, split, name == "fermionic-modified",
                                                  width, low)

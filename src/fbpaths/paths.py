@@ -345,8 +345,9 @@ def _step(moves, states, i: int, a: int, bits: int, attain: int, by_m: bool,
 def _transfer_prefix(p: int, pp: int, a: int, L: int, first_up: bool,
                      attain: int, by_m: bool) -> tuple[tuple[tuple, int], ...]:
     """The states (see _step) after the vertices 0..L-1 from a, each with its
-    packed polynomial at L // 8 + 1 bytes a coefficient (no count exceeds the
-    2^L paths), as (state, packed) pairs: every endpoint shares them.
+    packed polynomial at L // 8 + 1 bytes a coefficient, as (state, packed)
+    pairs: every endpoint shares them.  A state fixes its last step, so it
+    counts at most max(1, 2^(L-1)) paths, below the guard bit X/2 >= 2^L.
     """
     moves = _vertex_moves(p, pp)
     bits = 8 * (L // 8 + 1)
@@ -384,9 +385,9 @@ def chi_block(model: Model, a: int, lmax: int, width: int) -> dict[tuple[int, in
     L <= lmax, from one transfer out of a, each packed at `width` bytes a
     coefficient from q^0 (unpack_poly decodes it): after vertex L, the state
     at height c entered upwards (downwards) sums the paths a -> c - 1
-    (c + 1) that step on to c.  No coefficient exceeds the 2^lmax paths, so
-    `width` must give more than lmax bits.  Tuples that no path reaches are
-    absent."""
+    (c + 1) that step on to c, at most max(1, 2^(L-1)): below unpack_poly's
+    guard bit 2^(8 width - 1) when `width` gives more than lmax bits.
+    Tuples that no path reaches are absent."""
     if not 0 < a < model.pp:
         raise ValueError("height a must lie in 1..p'-1")
     if 8 * width <= lmax:
@@ -404,9 +405,10 @@ def chi_block(model: Model, a: int, lmax: int, width: int) -> dict[tuple[int, in
 def chi_tilde_by_m(model: Model, a: int, b: int, e: int, f: int, L: int,
                    attain=None) -> dict[int, QPoly]:
     """Winged generating functions split by the non-scoring count m, as a
-    fresh dict: the prefix's states at b take the wing vertex L and leave it
-    as f says.  Wings outside {0, 1} and attained heights off the grid raise
-    ValueError."""
+    fresh dict: the prefix's states at b take the wing vertex L, at the
+    prefix's width, and leave it as f says; each counts at most
+    max(1, 2^(L-1)) paths a -> b.  Wings outside {0, 1} and attained
+    heights off the grid raise ValueError."""
     if not (0 < a < model.pp and 0 < b < model.pp):
         raise ValueError("heights a, b must lie in 1..p'-1")
     first_up, last_up, wing = _ends(Wings(e, f), b)

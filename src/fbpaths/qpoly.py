@@ -266,21 +266,24 @@ def guard_width(bound: int) -> int:
     packings lies in (-X, X), and a sum of such digits times powers of X is
     0 only when every digit is (the lowest nonzero one would be divisible by
     X).  So at this width two packings, signed ones too, are equal exactly
-    when the polynomials are.
+    when the polynomials are, and unpack_poly reads each back.
     """
     return bound.bit_length() // 8 + 1
 
 
 def unpack_poly(packed: int, width: int, low: int = 0) -> QPoly:
     """The polynomial whose coefficients, from q^low up, are packed width
-    bytes each into a non-negative int: the inverse of pack, zeros dropped."""
-    raw = packed.to_bytes(width * -(-packed.bit_length() // (8 * width)), "little")
-    coeffs = [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
-    return QPoly._of({e: c for e, c in enumerate(coeffs, low) if c})
-
-
-def unpack_pair(parts: tuple[int, int], width: int, low: int = 0) -> QPoly:
-    """The polynomial pos - neg of (positive, negative) parts packed as
-    unpack_poly reads them."""
-    pos, neg = parts
-    return unpack_poly(pos, width, low) - unpack_poly(neg, width, low)
+    bytes each into an int, all below the guard bit (|c| < X/2, see
+    guard_width), zeros dropped: read from the lowest digit up, add the
+    carry, and a digit >= X/2 stands for digit - X and carries one up."""
+    bits = 8 * width
+    raw = packed.to_bytes(width * (abs(packed).bit_length() // bits + 1), "little", signed=True)
+    half, X, carry, terms = 1 << bits - 1, 1 << bits, 0, {}
+    for e, i in enumerate(range(0, len(raw), width), low):
+        c = int.from_bytes(raw[i:i + width], "little") + carry
+        carry = c >= half
+        if carry:
+            c -= X
+        if c:
+            terms[e] = c
+    return QPoly._of(terms)

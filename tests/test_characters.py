@@ -17,7 +17,7 @@ from fbpaths.characters import (
     _bosonic_terms, _fermionic_walk, _iter_admissible_m, _packed_bosonic,
     _packed_fermionic, _summands,
 )
-from fbpaths.qpoly import guard_width, unpack_pair
+from fbpaths.qpoly import guard_width, unpack_poly
 from helpers import (
     beta_prime, coprime_pairs, dense_exponents, dense_parity, dense_rows,
     leaf_filtered_walk, recursive_walk, sparse_fermionic, sparse_summands, sparse_sum,
@@ -104,15 +104,14 @@ def test_packed_forms_decode_to_the_forms_within_their_bounds(data):
     system = build_system(p, pp, a, b)
     split, low, *bounds = _fermionic_walk(system, L)
     width = guard_width(max(bounds + [1 << L]))
-    pos, neg = _packed_bosonic(_bosonic_terms(p, pp, a, b, c, L), L, width)
-    packed = [(pos, neg)] + [_packed_fermionic(system, L, split, modified, width, low)
-                             for modified in (False, True)]
+    packed = [_packed_bosonic(_bosonic_terms(p, pp, a, b, c, L), L, width, low)] + \
+        [_packed_fermionic(system, L, split, modified, width, low) for modified in (False, True)]
     forms = [sparse_sum(_bosonic_terms(p, pp, a, b, c, L), L),
              sparse_fermionic(system, L, False), sparse_fermionic(system, L, True)]
-    for (pos, neg), form, bound in zip(packed, forms, [1 << L] + bounds):
-        assert unpack_pair((pos, neg), width, low) == form
+    for value, form, bound in zip(packed, forms, [1 << L] + bounds):
+        assert unpack_poly(value, width, low) == form
         assert max(map(abs, form.terms.values()), default=0) <= bound
-    assert len({pos - neg for pos, neg in packed}) == 1
+    assert len(set(packed)) == 1
 
 
 def test_groundstate_label():

@@ -6,6 +6,8 @@ import json
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import accumulate, chain
 from pathlib import Path as FsPath
@@ -119,6 +121,18 @@ def test_chi_closed_forms_golden_at_large_L(capsys):
     assert len(texts) == 60
     assert hashlib.sha256("".join(texts).encode()).hexdigest() == \
         "2dc62e2ff0034ad87c36b0ada548d681e7efd93b6efa3f4c44c91d2c87373b4e"
+
+
+def test_demos_golden():
+    # every demo, in sorted order, each in a fresh interpreter on src/: the
+    # digest of their concatenated stdout pins its bytes
+    env = {**os.environ, "PYTHONPATH": "src"}
+    demos = sorted((ROOT / "demos").glob("*.py"))
+    assert demos
+    out = b"".join(subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+                                  capture_output=True, check=True).stdout for demo in demos)
+    assert hashlib.sha256(out).hexdigest() == \
+        "85ec80461e516d1c65f2376ab9c2e1d8e02db21562b49f215f065fc8d0dab19c"
 
 
 def test_model_show_golden(capsys):
@@ -395,12 +409,12 @@ def test_verify_identity_calls_a_wrapped_record_function(capsys, monkeypatch):
     _, traced, _ = run(capsys, *grid)
     assert strip_summary(traced) == strip_summary(plain)
     # each task reaches it extended by its width, base exponent and packed
-    # values, one (positive, negative) pair for each of its forms
+    # values, one signed int for each of its forms
     assert [c[:7] for c in calls] == list(cli.iter_identity_tasks(5, 9, cli.ALL_FORMS))
     for p, pp, a, b, c, L, forms, width, low, values in calls:
         assert set(values) == set(forms)
-        pos, neg = values["enumerate"]
-        assert neg == 0 and unpack_poly(pos, width, low) == chi(Model(p, pp), a, b, c, L)
+        assert all(type(value) is int for value in values.values())
+        assert unpack_poly(values["enumerate"], width, low) == chi(Model(p, pp), a, b, c, L)
 
 
 def test_verify_identity_starts_no_idle_worker(capsys, monkeypatch):

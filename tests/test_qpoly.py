@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fbpaths import QPoly, div_exact, gaussian, gaussian_modified
-from fbpaths.qpoly import guard_width, pack, unpack_pair, unpack_poly
+from fbpaths.qpoly import guard_width, pack, unpack_poly
 from helpers import box_partition_oracle, pochhammer
 
 ONE = QPoly.one()
@@ -160,14 +160,15 @@ def test_gaussian_modified_matches_pochhammer_quotient(a, b):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.lists(st.integers(0, 2 ** 70), min_size=1, max_size=12), max_size=4))
 def test_kronecker_product_matches_sparse_product(factors):
-    # pack -> one big-int product -> unpack_poly, at the byte width of the
-    # product's value at q = 1, which bounds every coefficient
+    # pack -> one big-int product -> unpack_poly, at the guarded width of
+    # the product's value at q = 1, which bounds every coefficient: without
+    # the guard bit a coefficient of 128 at width 1 would read as -128 + q
     expected = QPoly.one()
     bound = acc = 1
     for coeffs in factors:
         expected = expected * QPoly(dict(enumerate(coeffs)))
         bound *= max(1, sum(coeffs))
-    width = (bound.bit_length() + 7) // 8
+    width = guard_width(bound)
     for coeffs in factors:
         acc *= pack(coeffs, width)
     assert unpack_poly(acc, width) == expected
@@ -175,8 +176,9 @@ def test_kronecker_product_matches_sparse_product(factors):
 
 
 def signed_pack(coeffs, width: int) -> int:
-    """Signed coefficients, low first, packed as the difference of their
-    positive and their negative parts, as the identity sweep packs them."""
+    """Signed coefficients, low first, packed into one signed int, the
+    polynomial's value at q = X: the packing of the positive coefficients
+    less that of the negative ones' absolute values."""
     return pack([max(c, 0) for c in coeffs], width) - pack([max(-c, 0) for c in coeffs], width)
 
 
@@ -205,17 +207,29 @@ def strip_zeros(coeffs) -> list[int]:
 def test_signed_packings_below_the_guard_bit_are_injective(data):
     width = data.draw(st.integers(1, 3), label="width")
     half = 1 << 8 * width - 1
-    vectors = st.lists(st.integers(-half + 1, half - 1), max_size=8)
-    u = data.draw(vectors, label="u")
+    edge = st.sampled_from([half - 1, -half + 1])
+    digit = st.one_of(st.integers(-half + 1, half - 1), edge)
+    vectors = st.lists(digit, max_size=8)
+    u = data.draw(st.one_of(vectors, st.builds(lambda u, top: u + [top], vectors,
+                                               st.integers(-half + 1, -1))), label="u")
     v = data.draw(st.one_of(vectors, st.just(u + [0])), label="v")
     # each vector decodes back from its packing, so no two share one
-    assert balanced_digits(signed_pack(u, width), width) == strip_zeros(u)
-    assert (signed_pack(u, width) == signed_pack(v, width)) == (strip_zeros(u) == strip_zeros(v))
-    # and so does the polynomial, from the two parts apart
-    pos = pack([max(c, 0) for c in u], width)
-    neg = pack([max(-c, 0) for c in u], width)
-    assert unpack_poly(pos, width) - unpack_poly(neg, width) == QPoly(dict(enumerate(u)))
-    assert unpack_pair((pos, neg), width, -2) == QPoly(dict(enumerate(u, -2)))
+    packed = signed_pack(u, width)
+    assert balanced_digits(packed, width) == strip_zeros(u)
+    assert (packed == signed_pack(v, width)) == (strip_zeros(u) == strip_zeros(v))
+    # and unpack_poly reads the polynomial back from the one signed int,
+    # the same digits as the oracle
+    for low in (0, -2):
+        poly = unpack_poly(packed, width, low)
+        assert poly == QPoly(dict(enumerate(u, low)))
+        assert poly == QPoly(dict(enumerate(balanced_digits(packed, width), low)))
+
+
+def test_unpack_poly_drops_a_digit_carried_to_zero():
+    # -1 + q^2 at width 1 is X^2 - 1, the bytes FF FF 00: the second digit,
+    # FF plus the carry, is X and decodes to 0, which the term map must not
+    # keep (QPoly equality is term-map equality)
+    assert unpack_poly(signed_pack([-1, 0, 1], 1), 1) == QPoly({0: -1, 2: 1})
 
 
 @given(st.integers(0, 2 ** 80))
