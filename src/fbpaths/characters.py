@@ -9,14 +9,15 @@ walk gives the summands of both fermionic forms and of the mn-system; the
 classical form and the mn-system keep those with all n_j >= 0, and only the
 forms compute a summand's exponent and Gaussians (_term).
 
-Each sum has one reader.  Its terms (_bosonic_terms, _tail_terms, the
-walk's summands) are packed into one signed int at a guarded width, the
-negative terms subtracted (_packed_bosonic, _packed_fermionic), and a
-public form decodes that int once (qpoly.unpack_poly).  The identity sweep
-compares the same packed values undecoded: int equality decides
-polynomial equality (qpoly.guard_width).  Each form's bound on its
-coefficients comes from its own terms (_sum_bound, 2^L for a bosonic sum),
-never from another route.
+Every closed form is a signed sum of q-shifted Gaussian products, and
+every term of every sum is one (exponent, keys, sign): sign times
+q^exponent times the classical Gaussians [top over k] for (top, k) in keys
+(_bosonic_terms, _tail_terms, _term).  _packed_sum packs a form's terms
+into one signed int at a guarded width, and a public form decodes that int
+once (qpoly.unpack_poly).  The identity sweep compares the same packed
+values undecoded: int equality decides polynomial equality
+(qpoly.guard_width).  Each form's bound on its coefficients comes from its
+own terms (_sum_bound, 2^L for a bosonic sum), never from another route.
 """
 
 from __future__ import annotations
@@ -38,9 +39,12 @@ def groundstate_label(p: int, pp: int, b: int, c: int) -> int:
 
 
 def _bosonic_terms(p: int, pp: int, a: int, b: int, c: int, L: int):
-    """(exponent, k, sign) of each term sign * q^exponent [L over k] of the
-    alternating double sum, the positive sum first; none when no path
-    joins a to b.
+    """(exponent, ((L, k),), sign) of each term sign * q^exponent [L over k]
+    of the alternating double sum, the positive sum first; none when no path
+    joins a to b.  The positive and the negative sum each take [L over k] at
+    most once per k, so no coefficient exceeds sum_k C(L, k) = 2^L in
+    absolute value: the bound of bosonic and of the tail, which needs no
+    term.
 
     Every exponent is >= 0.  With c in 1..p'-1 and b - c = +-1, r lies in
     0..p.  The positive exponent is lam (lam p p' + p' r - p a): at lam >= 1
@@ -61,9 +65,9 @@ def _bosonic_terms(p: int, pp: int, a: int, b: int, c: int, L: int):
     base = (L + a - b) // 2
     # positive sum: Gaussian lower index base - p'*lam must lie in 0..L;
     # negative sum: lower index base - p'*lam - a in 0..L
-    positive = ((lam * lam * p * pp + lam * (pp * r - p * a), base - pp * lam, 1)
+    positive = ((lam * lam * p * pp + lam * (pp * r - p * a), ((L, base - pp * lam),), 1)
                 for lam in range(-((L - base) // pp), base // pp + 1))
-    negative = (((lam * p + r) * (lam * pp + a), base - pp * lam - a, -1)
+    negative = (((lam * p + r) * (lam * pp + a), ((L, base - pp * lam - a),), -1)
                 for lam in range(-((L - base + a) // pp), (base - a) // pp + 1))
     for term in chain(positive, negative):
         if term[0] < 0:
@@ -71,24 +75,12 @@ def _bosonic_terms(p: int, pp: int, a: int, b: int, c: int, L: int):
         yield term
 
 
-def _packed_bosonic(terms, L: int, width: int, low: int) -> int:
-    """The sum over (exponent, k, sign) of sign * q^(exponent - low)
-    [L over k], each exponent >= low, packed at `width` bytes a coefficient
-    as one signed int.  On the terms of _bosonic_terms or _tail_terms the
-    positive and the negative terms each take [L over k] at most once per
-    k, so no coefficient exceeds sum_k C(L, k) = 2^L in absolute value."""
-    acc = 0
-    bits = 8 * width
-    for ex, k, sign in terms:
-        term = _packed_gaussian(L, k, width) << bits * (ex - low)
-        acc = acc + term if sign > 0 else acc - term
-    return acc
-
-
 def bosonic(p: int, pp: int, a: int, b: int, c: int, L: int) -> QPoly:
     """Alternating double sum with Gaussian factors; equals the enumeration."""
-    width = guard_width(1 << max(L, 0))  # no term at L < 0, but the heights are still checked
-    return unpack_poly(_packed_bosonic(_bosonic_terms(p, pp, a, b, c, L), L, width, 0), width)
+    # sized from 2^L before any term is made, so a huge L raises OverflowError
+    # at once; no term at L < 0, but the heights are still checked
+    width = guard_width(1 << max(L, 0))
+    return unpack_poly(_packed_sum(_bosonic_terms(p, pp, a, b, c, L), width, 0), width)
 
 
 def partition_series(N: int) -> QPoly:
@@ -322,9 +314,9 @@ def _summands(system: FermionicSystem, L: int):
 
 
 def _term(system: FermionicSystem, m_hat: tuple[int, ...], n: tuple[int, ...]):
-    """(exponent, keys) of a summand: q^exponent times the classical Gaussians
-    [top over k] for keys (top, k) = (m_j + n_j, m_j > 0), as every other
-    factor is [n_j over 0]' = 1.
+    """(exponent, keys, 1) of a summand: q^exponent times the classical
+    Gaussians [top over k] for keys (top, k) = (m_j + n_j, m_j > 0), as every
+    other factor is [n_j over 0]' = 1.
 
     The exponent is (m_hat^T C m_hat - L^2 - 2 w.m + gamma)/4, where
     w = u_L^flat + u_R^sharp; RuntimeError if 4 does not divide it.
@@ -339,7 +331,7 @@ def _term(system: FermionicSystem, m_hat: tuple[int, ...], n: tuple[int, ...]):
     exp, frac = divmod(quad, 4)
     if frac:
         raise RuntimeError(f"fermionic summand {m_hat} has a fractional exponent")
-    return exp, [(m + nj, m) for m, nj in zip(m_hat[1:], n) if m]
+    return exp, [(m + nj, m) for m, nj in zip(m_hat[1:], n) if m], 1
 
 
 def fermionic_terms(system: FermionicSystem, L: int, modified: bool):
@@ -354,7 +346,7 @@ def mn_solutions(system: FermionicSystem, L: int) -> list[MnSolution]:
 
 
 def _tail_terms(system: FermionicSystem, L: int):
-    """The (exponent, k, sign) terms, read as in _bosonic_terms, of the
+    """The (exponent, keys, sign) terms, read as in _bosonic_terms, of the
     smaller-model tail that the classical form adds to its sum: the
     character of the model (z_n, y_n), reflected when a and b lie at the
     top, with the post-segment endpoint pulled inside."""
@@ -367,7 +359,7 @@ def _tail_terms(system: FermionicSystem, L: int):
         a, b, c = tak.pp - a, tak.pp - b, tak.pp - c
     if yn == 2:
         # the (1,2) grid carries only the empty path, q^0 [0 over 0]
-        return ((0, 0, 1),) if (L == 0 and a == 1 and b == 1) else ()
+        return ((0, (), 1),) if (L == 0 and a == 1 and b == 1) else ()
     return _bosonic_terms(zn, yn, a, b, c if 1 <= c <= yn - 1 else b - 1, L)
 
 
@@ -378,63 +370,64 @@ def _packed_gaussian(top: int, k: int, width: int) -> int:
 
 
 def _sum_bound(terms) -> int:
-    """The value at q = 1 of the sum over (e, keys) of q^e times the classical
-    Gaussians [top over k] for (top, k) in keys.  Every factor has
-    non-negative coefficients, so it bounds each coefficient of every
-    partial product and of the sum."""
-    return sum(prod(starmap(comb, keys)) for _, keys in terms)
+    """The value at q = 1 of the sum over (e, keys, sign) of q^e times the
+    classical Gaussians [top over k] for (top, k) in keys, every sign taken
+    as +1.  Every factor has non-negative coefficients, so it bounds the
+    absolute value of each coefficient of every partial product and of the
+    signed sum."""
+    return sum(prod(starmap(comb, keys)) for _, keys, _ in terms)
 
 
 def _packed_sum(terms, width: int, low: int) -> int:
-    """The sum over (e, keys) of q^(e - low) times the classical Gaussians
-    [top over k] for (top, k) in keys, packed at `width` bytes a coefficient:
-    every e must be >= low, and `width` must exceed the _sum_bound."""
+    """The sum over (e, keys, sign) of sign * q^(e - low) times the classical
+    Gaussians [top over k] for (top, k) in keys, packed at `width` bytes a
+    coefficient as one signed int: every e must be >= low, and `width` must
+    keep a guard bit above every coefficient of the sum (qpoly.guard_width
+    of its _sum_bound, or of 2^L for a bosonic sum)."""
     acc = 0
     bits = 8 * width
-    for e, keys in terms:
+    for e, keys, sign in terms:
         term = 1
         for top, k in keys:
             term *= _packed_gaussian(top, k, width)
-        acc += term << bits * (e - low)
+        term <<= bits * (e - low)
+        acc = acc + term if sign > 0 else acc - term
     return acc
 
 
 def _gaussian_sum(terms) -> QPoly:
-    """The sum over (e, keys) of q^e times the classical Gaussians [top over k]
-    for (top, k) in keys, added on one packed int and unpacked once."""
+    """The sum over (e, keys, sign) of the terms, as _packed_sum reads them,
+    added on one packed int and unpacked once."""
     if not terms:
         return QPoly.zero()
     width = guard_width(_sum_bound(terms))
-    low = min(e for e, _ in terms)
+    low = min(e for e, _, _ in terms)
     return unpack_poly(_packed_sum(terms, width, low), width, low)
 
 
 def _fermionic_walk(system: FermionicSystem, L: int):
     """(split, low, classical bound, modified bound) of the summands at
-    length L >= 0, from one walk: split holds the (exponent, keys) of each
-    modified summand (see _term) in two lists, the kept summands and then
-    the annihilated ones; low = min(0, lowest summand exponent); and each
-    bound is one on the absolute value of every coefficient of its form,
-    read off the form's own summands (the tail adds 2^L, as bosonic does),
-    never off the value the identity says it has."""
+    length L >= 0, from one walk: split holds the terms (see _term) of the
+    modified summands in two lists, the kept summands and then the
+    annihilated ones; low = min(0, lowest summand exponent); and each bound
+    is one on the absolute value of every coefficient of its form, read off
+    the form's own summands (the tail adds 2^L, as bosonic does), never off
+    the value the identity says it has."""
+    tail = 1 << L  # before the walk: at a huge L this raises OverflowError, not MemoryError
     split = ([], [])
     for m_hat, n, kept in _summands(system, L):
         split[not kept].append(_term(system, m_hat, n))
     kept, annihilated = map(_sum_bound, split)
-    low = min([0] + [e for terms in split for e, _ in terms])
-    return split, low, kept + (1 << L), kept + annihilated
+    low = min([0] + [e for terms in split for e, _, _ in terms])
+    return split, low, kept + tail, kept + annihilated
 
 
-def _packed_fermionic(system: FermionicSystem, L: int, split, modified: bool,
-                      width: int, low: int) -> int:
-    """One form times q^-low, packed at `width` bytes a coefficient as one
-    signed int: the classical form adds the kept summands and its tail, the
-    modified form the kept and the annihilated summands.  split, low and a
-    width above the form's bound come from _fermionic_walk."""
+def _form_terms(system: FermionicSystem, L: int, split, modified: bool):
+    """The terms of one fermionic form, for _packed_sum: the kept summands
+    of split (from _fermionic_walk), then the modified form's annihilated
+    summands or the classical form's tail."""
     kept, annihilated = split
-    if modified:
-        return _packed_sum(kept + annihilated, width, low)
-    return _packed_sum(kept, width, low) + _packed_bosonic(_tail_terms(system, L), L, width, low)
+    return chain(kept, annihilated if modified else _tail_terms(system, L))
 
 
 def _fermionic(p: int, pp: int, a: int, b: int, L: int, prefer_t_prime: bool,
@@ -445,7 +438,8 @@ def _fermionic(p: int, pp: int, a: int, b: int, L: int, prefer_t_prime: bool,
         return QPoly.zero()
     split, low, *bounds = _fermionic_walk(system, L)
     width = guard_width(bounds[modified])
-    return unpack_poly(_packed_fermionic(system, L, split, modified, width, low), width, low)
+    return unpack_poly(_packed_sum(_form_terms(system, L, split, modified), width, low),
+                       width, low)
 
 
 def fermionic_classical(p: int, pp: int, a: int, b: int, L: int,

@@ -27,9 +27,8 @@ from .transforms import (
     _first_mismatch, b1, b2, b3, bd_transform, d_transform, decompose,
 )
 from .characters import (
-    _bosonic_terms, _fermionic_walk, _packed_bosonic, _packed_fermionic, bosonic,
-    build_system, c_from_b, c_from_b_info, fermionic_classical, fermionic_modified,
-    mn_solutions,
+    _bosonic_terms, _fermionic_walk, _form_terms, _packed_sum, bosonic, build_system,
+    c_from_b, c_from_b_info, fermionic_classical, fermionic_modified, mn_solutions,
 )
 
 def _print_poly(poly: QPoly, fmt: str) -> None:
@@ -77,11 +76,13 @@ def _identity_block(tasks: list[tuple]) -> tuple[str, int, int]:
     (p, p', a) block, every value of the block a signed int at one width.
 
     The fermionic summands of each (b, L) are walked once, first, for their
-    bounds; the transfer and bosonic's signed sum are bounded by the
-    2^Lmax paths.  The width is the guard_width of the largest bound, and
-    one chi_block transfer at that width gives chi for every task.  A task
-    whose fermionic summands reach below q^0 (low < 0) packs all its forms
-    from q^low, and only the fermionic forms it asks for are packed.
+    bounds; the transfer and the bosonic sum are bounded by the 2^Lmax
+    paths.  The width is the guard_width of the largest bound, and one
+    chi_block transfer at that width gives chi for every task.  Every other
+    form is its (exponent, keys, sign) terms packed by _packed_sum: the
+    bosonic terms, or a fermionic form's (_form_terms), and only the forms a
+    task asks for.  A task whose fermionic summands reach below q^0
+    (low < 0) packs all its forms from q^low.
     """
     p, pp, a = tasks[0][:3]
     lmax = max(t[5] for t in tasks)
@@ -103,10 +104,10 @@ def _identity_block(tasks: list[tuple]) -> tuple[str, int, int]:
             if name == "enumerate":
                 values[name] = table.get((b, c, L), 0) << -8 * width * low
             elif name == "bosonic":
-                values[name] = _packed_bosonic(_bosonic_terms(p, pp, a, b, c, L), L, width, low)
+                values[name] = _packed_sum(_bosonic_terms(p, pp, a, b, c, L), width, low)
             else:
-                values[name] = _packed_fermionic(system, L, split, name == "fermionic-modified",
-                                                 width, low)
+                terms = _form_terms(system, L, split, name == "fermionic-modified")
+                values[name] = _packed_sum(terms, width, low)
         records.append(_identity_record((p, pp, a, b, c, L, forms, width, low, values)))
     return ("".join(json.dumps(rec) + "\n" for rec in records), len(records),
             sum(not rec["equal"] for rec in records))

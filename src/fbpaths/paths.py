@@ -343,18 +343,19 @@ def _step(moves, states, i: int, a: int, bits: int, attain: int, by_m: bool,
 
 @lru_cache(maxsize=256)
 def _transfer_prefix(p: int, pp: int, a: int, L: int, first_up: bool,
-                     attain: int, by_m: bool) -> tuple[tuple[tuple, int], ...]:
-    """The states (see _step) after the vertices 0..L-1 from a, each with its
-    packed polynomial at L // 8 + 1 bytes a coefficient, as (state, packed)
-    pairs: every endpoint shares them.  A state fixes its last step, so it
-    counts at most max(1, 2^(L-1)) paths, below the guard bit X/2 >= 2^L.
+                     attain: int, by_m: bool) -> tuple[int, tuple[tuple[tuple, int], ...]]:
+    """(width, states): the states (see _step) after the vertices 0..L-1
+    from a, each with its packed polynomial at width = L // 8 + 1 bytes a
+    coefficient, as (state, packed) pairs: every endpoint shares them.  A
+    state fixes its last step, so it counts at most max(1, 2^(L-1)) paths,
+    below the guard bit X/2 >= 2^L.
     """
     moves = _vertex_moves(p, pp)
-    bits = 8 * (L // 8 + 1)
+    width = L // 8 + 1
     states = {(a, first_up, 0, 0): 1}
     for i in range(L):
-        states = _step(moves, states.items(), i, a, bits, attain, by_m)
-    return tuple(states.items())
+        states = _step(moves, states.items(), i, a, 8 * width, attain, by_m)
+    return width, tuple(states.items())
 
 
 def _attain_mask(pp: int, attain) -> int:
@@ -375,9 +376,9 @@ def chi(model: Model, a: int, b: int, c: int, L: int, attain=None) -> QPoly:
     want = _attain_mask(model.pp, attain)
     if not _joins(a, b, L):
         return QPoly.zero()
-    states = _transfer_prefix(model.p, model.pp, a, L + 1, True, want, False)
+    width, states = _transfer_prefix(model.p, model.pp, a, L + 1, True, want, False)
     return unpack_poly(sum(packed for (h, up, mask, _), packed in states
-                           if h == c and up == (c > b) and mask == want), (L + 1) // 8 + 1)
+                           if h == c and up == (c > b) and mask == want), width)
 
 
 def chi_block(model: Model, a: int, lmax: int, width: int) -> dict[tuple[int, int, int], int]:
@@ -415,8 +416,7 @@ def chi_tilde_by_m(model: Model, a: int, b: int, e: int, f: int, L: int,
     want = _attain_mask(model.pp, attain)
     if not _joins(a, b, L):
         return {}
-    states = _transfer_prefix(model.p, model.pp, a, L, first_up, want, True)
-    width = L // 8 + 1
+    width, states = _transfer_prefix(model.p, model.pp, a, L, first_up, want, True)
     last = _step(_vertex_moves(model.p, model.pp), [s for s in states if s[0][0] == b], L, a,
                  8 * width, want, True, wing)
     sums: dict[int, int] = {}

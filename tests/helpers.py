@@ -255,13 +255,17 @@ def leaf_filtered_walk(system, L, modified):
         yield m_hat, tuple(n)
 
 
-def sparse_sum(terms, L):
-    """Oracle for the packed bosonic sums of fbpaths.characters: the sum over
-    (exponent, k, sign) of sign * q^exponent [L over k], added term by term
-    on a dict of coefficients."""
+def sparse_sum(terms):
+    """Oracle for characters._packed_sum: the sum over (exponent, keys, sign)
+    of sign * q^exponent times the Gaussians [top over k] for (top, k) in
+    keys, each term multiplied out as a sparse polynomial and added on a
+    dict of coefficients."""
     out = {}
-    for ex, k, sign in terms:
-        for e, coeff in gaussian(L, k).terms.items():
+    for ex, keys, sign in terms:
+        term = QPoly.one()
+        for key in keys:
+            term = term * gaussian(*key)
+        for e, coeff in term.terms.items():
             out[e + ex] = out.get(e + ex, 0) + sign * coeff
     return QPoly(out)
 
@@ -274,18 +278,14 @@ def sparse_summands(system, L, modified):
     for m_hat, n, _ in _summands(system, L):
         if not (modified or all(v >= 0 for v in n)):
             continue
-        e, keys = _term(system, m_hat, n)
-        term = QPoly.one()
-        for key in keys:
-            term = term * gaussian(*key)
-        terms.append((m_hat, n, term.shift(e)))
+        terms.append((m_hat, n, sparse_sum([_term(system, m_hat, n)])))
     return terms
 
 
 def sparse_fermionic(system, L, modified):
     """Oracle for the fermionic forms: the sparse summands, plus the classical
     form's smaller-model tail by sparse_sum."""
-    total = QPoly.zero() if modified else sparse_sum(_tail_terms(system, L), L)
+    total = QPoly.zero() if modified else sparse_sum(_tail_terms(system, L))
     for _, _, term in sparse_summands(system, L, modified):
         total = total + term
     return total

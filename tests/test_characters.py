@@ -14,8 +14,8 @@ from fbpaths import (
 )
 import fbpaths.characters as characters
 from fbpaths.characters import (
-    _bosonic_terms, _fermionic_walk, _iter_admissible_m, _packed_bosonic,
-    _packed_fermionic, _summands,
+    _bosonic_terms, _fermionic_walk, _form_terms, _iter_admissible_m, _packed_sum,
+    _summands, _sum_bound,
 )
 from fbpaths.qpoly import guard_width, unpack_poly
 from helpers import (
@@ -104,14 +104,36 @@ def test_packed_forms_decode_to_the_forms_within_their_bounds(data):
     system = build_system(p, pp, a, b)
     split, low, *bounds = _fermionic_walk(system, L)
     width = guard_width(max(bounds + [1 << L]))
-    packed = [_packed_bosonic(_bosonic_terms(p, pp, a, b, c, L), L, width, low)] + \
-        [_packed_fermionic(system, L, split, modified, width, low) for modified in (False, True)]
-    forms = [sparse_sum(_bosonic_terms(p, pp, a, b, c, L), L),
+    packed = [_packed_sum(_bosonic_terms(p, pp, a, b, c, L), width, low)] + \
+        [_packed_sum(_form_terms(system, L, split, modified), width, low)
+         for modified in (False, True)]
+    forms = [sparse_sum(_bosonic_terms(p, pp, a, b, c, L)),
              sparse_fermionic(system, L, False), sparse_fermionic(system, L, True)]
     for value, form, bound in zip(packed, forms, [1 << L] + bounds):
         assert unpack_poly(value, width, low) == form
         assert max(map(abs, form.terms.values()), default=0) <= bound
     assert len(set(packed)) == 1
+
+
+terms_of_the_packer = st.lists(st.tuples(
+    st.integers(-3, 12),
+    st.lists(st.integers(0, 8).flatmap(lambda top: st.tuples(st.just(top), st.integers(0, top))),
+             max_size=3).map(tuple),
+    st.sampled_from([1, -1]),
+), min_size=1, max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(terms=terms_of_the_packer)
+def test_packed_sum_decodes_any_signed_terms_within_their_bound(terms):
+    # the one packer on terms no closed form produces: up to three Gaussians
+    # a term, both signs, exponents below q^0, at the width of their bound
+    bound = _sum_bound(terms)
+    width = guard_width(bound)
+    low = min(e for e, _, _ in terms)
+    form = sparse_sum(terms)
+    assert unpack_poly(_packed_sum(terms, width, low), width, low) == form
+    assert max(map(abs, form.terms.values()), default=0) <= bound
 
 
 def test_groundstate_label():

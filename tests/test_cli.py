@@ -216,8 +216,8 @@ def test_verify_identity_exit_zero(capsys):
 
 
 def _wrong_terms(monkeypatch, module, name, bad, extra):
-    """Make module.name, a generator of (exponent, k, sign) terms, yield the
-    extra terms too for the arguments `bad`."""
+    """Make module.name, a generator of (exponent, keys, sign) terms, yield
+    the extra terms too for the arguments `bad`."""
     terms = getattr(module, name)
     monkeypatch.setattr(module, name, lambda *args: chain(
         terms(*args), extra if args == bad else ()))
@@ -230,11 +230,11 @@ def _mismatches(out: str) -> tuple[dict, list[dict]]:
 
 def test_verify_identity_reports_a_mismatch(capsys, monkeypatch):
     # a bosonic form wrong by q^k on one tuple must fail the sweep and be
-    # named; the error goes in as one more term q^k [L over 0] of the
+    # named; the error goes in as one more term q^k (no Gaussian) of the
     # bosonic sum, which the sweep packs
     bad, k = (1, 4, 1, 1, 2, 2), 1
     want = chi(Model(1, 4), 1, 1, 2, 2).coeff(k)
-    _wrong_terms(monkeypatch, cli, "_bosonic_terms", bad, [(k, 0, 1)])
+    _wrong_terms(monkeypatch, cli, "_bosonic_terms", bad, [(k, (), 1)])
     code, out, _ = run(capsys, "verify", "identity", "--ppmax", "4", "--Lmax", "4")
     assert code == 1
     lines = [json.loads(line) for line in out.strip().splitlines()]
@@ -253,7 +253,7 @@ def test_verify_identity_reports_a_negative_bosonic_coefficient(capsys, monkeypa
     bad, k = (2, 5, 2, 2, 3, 8), 6
     want = chi(Model(2, 5), *bad[2:]).coeff(k)
     assert want == 3
-    _wrong_terms(monkeypatch, cli, "_bosonic_terms", bad, [(k, 0, -1)] * (want + 1))
+    _wrong_terms(monkeypatch, cli, "_bosonic_terms", bad, [(k, (), -1)] * (want + 1))
     code, out, _ = run(capsys, "verify", "identity", "--ppmax", "5", "--Lmax", "8")
     assert code == 1
     summary, wrong = _mismatches(out)
@@ -270,7 +270,7 @@ def test_verify_identity_reports_a_wrong_classical_form(capsys, monkeypatch):
     want = chi(Model(1, 4), 1, 1, 2, 2).coeff(k)
     tail = characters._tail_terms
     monkeypatch.setattr(characters, "_tail_terms", lambda system, L: chain(
-        tail(system, L), [(k, 0, 1)] if (system.tak.p, system.tak.pp, system.a, system.b, L)
+        tail(system, L), [(k, (), 1)] if (system.tak.p, system.tak.pp, system.a, system.b, L)
         == bad[:4] + bad[5:] else ()))
     code, out, _ = run(capsys, "verify", "identity", "--ppmax", "4", "--Lmax", "4")
     assert code == 1
@@ -290,9 +290,9 @@ def test_verify_identity_reports_a_fermionic_term_below_q0(capsys, monkeypatch):
     term = characters._term
 
     def lowered(system, m_hat, n):
-        e, keys = term(system, m_hat, n)
+        e, keys, sign = term(system, m_hat, n)
         hit = (system.tak.p, system.tak.pp, system.a, system.b, m_hat[0]) == bad[:4] + bad[5:]
-        return e - 5 if hit else e, keys
+        return e - 5 if hit else e, keys, sign
 
     monkeypatch.setattr(characters, "_term", lowered)
     code, out, _ = run(capsys, "verify", "identity", "--ppmax", "4", "--Lmax", "4")
@@ -329,7 +329,7 @@ def test_verify_identity_report_without_enumeration(capsys, monkeypatch, tmp_pat
     # made negative: the report's bytes, wall time aside, are those of a
     # sweep that compares the two forms as polynomials, pinned by digest
     bad, k = (2, 5, 2, 2, 3, 8), 6
-    _wrong_terms(monkeypatch, cli, "_bosonic_terms", bad, [(k, 0, -1)] * 4)
+    _wrong_terms(monkeypatch, cli, "_bosonic_terms", bad, [(k, (), -1)] * 4)
     report = tmp_path / "report.jsonl"
     code, _, _ = run(capsys, "verify", "identity", "--ppmax", "6", "--Lmax", "8",
                      "--forms", "bosonic,fermionic-modified", "--output", str(report))
@@ -340,15 +340,24 @@ def test_verify_identity_report_without_enumeration(capsys, monkeypatch, tmp_pat
         "5c3e904b87202ef0af187aa81556e8a39a1898395e2995def3724351a61a487d"
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_verify_identity_matches_the_benchmark_reference(capsys, monkeypatch, tmp_path, jobs):
+@pytest.mark.parametrize("jobs, grid", [
+    pytest.param("1", ("8", "12"), id="1"),
+    pytest.param("2", ("8", "12"), id="2"),
+    pytest.param("1", ("10", "14"), id="ppmax10-Lmax14"),
+])
+def test_verify_identity_matches_the_benchmark_reference(capsys, monkeypatch, tmp_path, jobs,
+                                                         grid):
     # the benchmark's identity-sweep grid, whose record count and report
-    # digest perfbench/reference.json pins
-    ref = json.loads((ROOT / "perfbench" / "reference.json").read_text())["identity-sweep"]
+    # digest perfbench/reference.json pins, and the wider --ppmax 10
+    # --Lmax 14 grid of the ROADMAP's sweep targets, pinned here
+    ref = {("8", "12"): json.loads((ROOT / "perfbench" / "reference.json").read_text())
+           ["identity-sweep"],
+           ("10", "14"): {"records": 16140, "sha256":
+                          "3184a2423ccdb6d41f244e897bcdc07426799c7330a638454a5177ff8a827b4d"}}[grid]
     cpus = os.cpu_count() or 1
     monkeypatch.setattr(os, "cpu_count", lambda: max(cpus, 2))
     report = tmp_path / "report.jsonl"
-    code, _, _ = run(capsys, "verify", "identity", "--ppmax", "8", "--Lmax", "12",
+    code, _, _ = run(capsys, "verify", "identity", "--ppmax", grid[0], "--Lmax", grid[1],
                      "--jobs", jobs, "--output", str(report))
     assert code == 0
     text = report.read_bytes()
@@ -520,6 +529,9 @@ HUGE = "100000000000000000000"
      "--f", "0", "--L", HUGE),
     ("transform", "b2", "--k", HUGE),
     ("transform", "bd", "--k", HUGE),
+    ("chi", "fermionic", "--p", "2", "--pp", "5", "--a", "1", "--b", "2", "--L", HUGE + "1"),
+    ("chi", "fermionic", "--p", "2", "--pp", "5", "--a", "1", "--b", "2", "--L", HUGE + "1",
+     "--form", "modified"),
 ])
 def test_huge_integers_are_a_usage_error(capsys, tmp_path, argv):
     # 1 means a verification mismatch: an integer too large to index, range
